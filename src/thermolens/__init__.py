@@ -66,7 +66,6 @@ from .analytics import (
     EvolutionRow,
     PageMetrics,
     PageTimeline,
-    ReadershipRecord,
     correlate_pages,
     evolution_report,
     monthly_collections,
@@ -129,7 +128,6 @@ __all__ = [
     # analytics
     "EditEvent",
     "PageTimeline",
-    "ReadershipRecord",
     "PageMetrics",
     "EvolutionRow",
     "CorrelationReport",

@@ -8,7 +8,6 @@ correlates page metrics against an external readership signal.
 
 from __future__ import annotations
 
-import csv
 import math
 import statistics
 from bisect import bisect_left
@@ -22,14 +21,13 @@ from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 import numpy as np
 
 from . import powerlaw, structure, thermo
-from .collection import Collection, EnergyModel
+from .collection import Collection, CsvRows, EnergyModel
 from .errors import DegenerateError, DomainError, EmptyCollectionError
 
 __all__ = [
     "EditEvent",
     "ParseResult",
     "PageTimeline",
-    "ReadershipRecord",
     "PageMetrics",
     "EvolutionRow",
     "GroupCorrelations",
@@ -39,6 +37,7 @@ __all__ = [
     "page_collections",
     "page_timelines",
     "saturation_filter",
+    "saturated_pages",
     "pearson",
     "evolution_report",
     "page_reports",
@@ -76,23 +75,16 @@ def parse_events(lines: Iterable[str], strict: bool = False) -> ParseResult:
     first such row raises DomainError. Lines starting with ``#`` are
     comments. The header row is mandatory.
     """
-    reader = csv.reader(line for line in lines if not line.lstrip().startswith("#"))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise DomainError("event CSV is empty (missing 'ts,editor,page' header)") from None
-    if tuple(h.strip() for h in header) != EVENT_HEADER:
-        raise DomainError(f"expected header 'ts,editor,page', got {','.join(header)!r}")
-
+    rows = CsvRows(lines, EVENT_HEADER, "event")
     events: list[EditEvent] = []
     skipped = 0
-    for lineno, row in enumerate(reader, start=2):
+    for row in rows:
         if not row:
             continue
         event = _parse_row(row)
         if event is None:
             if strict:
-                raise DomainError(f"line {lineno}: malformed event row {row!r}")
+                raise DomainError(f"line {rows.line}: malformed event row {row!r}")
             skipped += 1
             continue
         events.append(event)
@@ -102,7 +94,10 @@ def parse_events(lines: Iterable[str], strict: bool = False) -> ParseResult:
 def _parse_row(row: list[str]) -> EditEvent | None:
     if len(row) != 3:
         return None
-    raw_ts, editor, page = (field.strip() for field in row)
+    # int() and float() ignore the whitespace around raw_ts themselves.
+    raw_ts, editor, page = row
+    editor = editor.strip()
+    page = page.strip()
     if not editor or not page:
         return None
     try:
@@ -218,6 +213,28 @@ def saturation_filter(
     return timeline.edits_since(tail_start) < growth_frac * timeline.total_edits
 
 
+def saturated_pages(
+    events: Sequence[EditEvent],
+    horizon_end: int | None = None,
+    min_edits: int = DEFAULT_MIN_EDITS,
+    tail_frac: float = DEFAULT_TAIL_FRAC,
+    growth_frac: float = DEFAULT_GROWTH_FRAC,
+) -> set[str]:
+    """Ids of the pages that pass saturation_filter at the horizon.
+
+    The horizon defaults to the last event timestamp in the corpus; an
+    empty corpus has no pages, saturated or not.
+    """
+    if not events:
+        return set()
+    horizon = horizon_end if horizon_end is not None else max(e.timestamp for e in events)
+    return {
+        p
+        for p, timeline in page_timelines(events).items()
+        if saturation_filter(timeline, horizon, min_edits, tail_frac, growth_frac)
+    }
+
+
 def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
     """Product-moment correlation of two equal-length sequences."""
     x = np.asarray(xs, dtype=np.float64)
@@ -309,33 +326,21 @@ def evolution_report(
     return _map_workers(build, items, threads)
 
 
-@dataclass(frozen=True)
-class ReadershipRecord:
-    page_id: str
-    clicks: int
-
-
 def read_readership_csv(lines: Iterable[str]) -> dict[str, int]:
     """Read ``page,clicks`` rows into a mapping; later rows accumulate."""
-    reader = csv.reader(line for line in lines if not line.lstrip().startswith("#"))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise DomainError("readership CSV is empty (missing 'page,clicks' header)") from None
-    if tuple(h.strip() for h in header) != ("page", "clicks"):
-        raise DomainError(f"expected header 'page,clicks', got {','.join(header)!r}")
+    rows = CsvRows(lines, ("page", "clicks"), "readership")
     clicks: dict[str, int] = {}
-    for lineno, row in enumerate(reader, start=2):
+    for row in rows:
         if not row:
             continue
         if len(row) != 2 or not row[0].strip():
-            raise DomainError(f"line {lineno}: malformed readership row {row!r}")
+            raise DomainError(f"line {rows.line}: malformed readership row {row!r}")
         try:
             count = int(row[1])
         except ValueError:
-            raise DomainError(f"line {lineno}: non-integer clicks {row[1]!r}") from None
+            raise DomainError(f"line {rows.line}: non-integer clicks {row[1]!r}") from None
         if count < 0:
-            raise DomainError(f"line {lineno}: negative clicks {count}")
+            raise DomainError(f"line {rows.line}: negative clicks {count}")
         page = row[0].strip()
         clicks[page] = clicks.get(page, 0) + count
     return clicks
@@ -439,17 +444,13 @@ def page_reports(
     The saturation horizon defaults to the last event timestamp in the
     corpus.
     """
-    if not events:
-        return []
     colls = page_collections(events)
-    timelines = page_timelines(events)
-    horizon = horizon_end if horizon_end is not None else max(e.timestamp for e in events)
+    saturated = saturated_pages(events, horizon_end, min_edits, tail_frac, growth_frac)
 
     def build(page_id: str) -> PageMetrics:
-        saturated = saturation_filter(
-            timelines[page_id], horizon, min_edits, tail_frac, growth_frac
+        return _page_metrics(
+            page_id, colls[page_id], model, ks_threshold, page_id in saturated
         )
-        return _page_metrics(page_id, colls[page_id], model, ks_threshold, saturated)
 
     return _map_workers(build, sorted(colls), threads)
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from typing import IO, Callable
@@ -37,18 +38,9 @@ def _model(args) -> EnergyModel:
     return EnergyModel(args.model)
 
 
-def _config_comment(args: argparse.Namespace) -> str:
+def _meta(args: argparse.Namespace) -> dict:
     # Excludes the output path and thread count: neither affects content,
     # and identical runs must stay byte-identical across thread counts.
-    pairs = [
-        f"{key}={value}"
-        for key, value in sorted(vars(args).items())
-        if key not in _CONFIG_EXCLUDE
-    ]
-    return f"thermolens {__version__} | " + " ".join(pairs)
-
-
-def _meta(args: argparse.Namespace) -> dict:
     return {
         "tool": f"thermolens {__version__}",
         "config": {
@@ -57,6 +49,12 @@ def _meta(args: argparse.Namespace) -> dict:
             if key not in _CONFIG_EXCLUDE
         },
     }
+
+
+def _config_comment(args: argparse.Namespace) -> str:
+    meta = _meta(args)
+    pairs = " ".join(f"{key}={value}" for key, value in meta["config"].items())
+    return f"{meta['tool']} | {pairs}"
 
 
 def _open_out(path: str) -> IO[str]:
@@ -70,6 +68,10 @@ def _write_json(path: str, payload: dict) -> None:
 
 
 def _alpha_grid(alpha_min: float, alpha_max: float, step: float) -> list[float]:
+    if not all(map(math.isfinite, (alpha_min, alpha_max, step))):
+        raise ThermolensError(
+            f"alpha bounds and step must be finite, got {alpha_min}, {alpha_max}, {step}"
+        )
     if step <= 0:
         raise ThermolensError(f"step must be positive, got {step}")
     grid = []
@@ -86,7 +88,7 @@ def _alpha_grid(alpha_min: float, alpha_max: float, step: float) -> list[float]:
 def cmd_metrics(args) -> None:
     with open(args.input, encoding="utf-8") as f:
         coll = read_collection_csv(f)
-    report = thermo.thermo_report(coll, _model(args), args.tol)
+    report = thermo.thermo_report(coll, _model(args))
     if args.format == "json":
         _write_json(args.output, {"_meta": _meta(args), **report.to_json_dict()})
     else:
@@ -99,7 +101,7 @@ def cmd_metrics(args) -> None:
 def cmd_fit(args) -> None:
     with open(args.input, encoding="utf-8") as f:
         coll = read_collection_csv(f)
-    fit = powerlaw.classify(coll, args.ks_threshold, args.tol)
+    fit = powerlaw.classify(coll, args.ks_threshold)
     if args.format == "csv":
         with _open_out(args.output) as f:
             f.write(f"# {_config_comment(args)}\n")
@@ -110,7 +112,7 @@ def cmd_fit(args) -> None:
 
 
 def cmd_synth(args) -> None:
-    coll = powerlaw.sample(args.alpha, args.n, args.seed, args.tol)
+    coll = powerlaw.sample(args.alpha, args.n, args.seed)
     with _open_out(args.output) as f:
         write_collection_csv(coll, f, header_comment=_config_comment(args))
 
@@ -118,7 +120,7 @@ def cmd_synth(args) -> None:
 def cmd_curves(args) -> None:
     grid = _alpha_grid(args.alpha_min, args.alpha_max, args.step)
     fig1 = structure.efficiency_vs_alpha_curve(grid, args.truncation)
-    fig2 = structure.energy_curve(grid, args.tol)
+    fig2 = structure.energy_curve(grid)
     merged = structure.merge_curves(fig1, fig2)
     with _open_out(args.output) as f:
         structure.write_curve_csv(merged, f, header_comment=_config_comment(args))
@@ -184,17 +186,10 @@ def cmd_correlate(args) -> None:
         readership = analytics.read_readership_csv(f)
     pages = analytics.page_collections(events)
     if args.saturated_only:
-        timelines = analytics.page_timelines(events)
-        horizon = args.horizon if args.horizon is not None else max(
-            e.timestamp for e in events
+        saturated = analytics.saturated_pages(
+            events, args.horizon, args.min_edits, args.tail_frac, args.growth_frac
         )
-        pages = {
-            p: c
-            for p, c in pages.items()
-            if analytics.saturation_filter(
-                timelines[p], horizon, args.min_edits, args.tail_frac, args.growth_frac
-            )
-        }
+        pages = {p: c for p, c in pages.items() if p in saturated}
     report = analytics.correlate_pages(
         pages, readership, args.ks_threshold, _model(args), threads=args.threads
     )
@@ -215,7 +210,8 @@ def _add_tol(p: argparse.ArgumentParser) -> None:
         "--tol",
         type=float,
         default=_env_default("TOL", 1e-10, float),
-        help="numerical tolerance for series/bisection (default: 1e-10)",
+        help="bisection tolerance of verify-theorem's max-entropy oracle; other "
+        "subcommands record it but do not use it (default: 1e-10)",
     )
 
 

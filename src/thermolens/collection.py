@@ -14,7 +14,7 @@ from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import IO
+from typing import IO, Iterator
 
 from .errors import DomainError, EmptyCollectionError
 
@@ -112,6 +112,41 @@ class Distribution:
         return tuple(sorted(self.probs))
 
 
+class CsvRows:
+    """Rows of a CSV text stream whose first non-comment row is a fixed header.
+
+    Lines starting with ``#`` are comments. The header is checked on
+    construction; iterating yields the data rows, and ``line`` is the
+    physical line number, comments included, on which the row last
+    yielded ends.
+    """
+
+    def __init__(self, lines: Iterable[str], header: tuple[str, ...], kind: str) -> None:
+        self._comments = 0
+        self._reader = csv.reader(self._data(lines))
+        expected = ",".join(header)
+        try:
+            first = next(self._reader)
+        except StopIteration:
+            raise DomainError(f"{kind} CSV is empty (missing '{expected}' header)") from None
+        if tuple(h.strip() for h in first) != header:
+            raise DomainError(f"expected header '{expected}', got {','.join(first)!r}")
+
+    def _data(self, lines: Iterable[str]) -> Iterator[str]:
+        for line in lines:
+            if line.lstrip().startswith("#"):
+                self._comments += 1
+            else:
+                yield line
+
+    def __iter__(self) -> Iterator[list[str]]:
+        return self._reader
+
+    @property
+    def line(self) -> int:
+        return self._reader.line_num + self._comments
+
+
 class EnergyModel(Enum):
     """Mapping from a contribution value to the energy it represents.
 
@@ -172,25 +207,19 @@ def write_collection_csv(c: Collection, stream: IO[str], header_comment: str | N
 
 def read_collection_csv(stream: Iterable[str]) -> Collection:
     """Read the ``value,count`` interchange CSV; ``#`` lines are comments."""
-    rows = csv.reader(line for line in stream if not line.lstrip().startswith("#"))
-    try:
-        header = next(rows)
-    except StopIteration:
-        raise DomainError("collection CSV is empty (missing 'value,count' header)") from None
-    if [h.strip() for h in header] != ["value", "count"]:
-        raise DomainError(f"expected header 'value,count', got {','.join(header)!r}")
+    rows = CsvRows(stream, ("value", "count"), "collection")
     tally: Counter[int] = Counter()
-    for lineno, row in enumerate(rows, start=2):
+    for row in rows:
         if not row:
             continue
         if len(row) != 2:
-            raise DomainError(f"line {lineno}: expected 2 fields, got {len(row)}")
+            raise DomainError(f"line {rows.line}: expected 2 fields, got {len(row)}")
         try:
             v, s = int(row[0]), int(row[1])
         except ValueError:
-            raise DomainError(f"line {lineno}: non-integer field in {row!r}") from None
+            raise DomainError(f"line {rows.line}: non-integer field in {row!r}") from None
         if s < 0:
-            raise DomainError(f"line {lineno}: negative count {s}")
+            raise DomainError(f"line {rows.line}: negative count {s}")
         if s:
             tally[v] += s
     return Collection(dict(tally))

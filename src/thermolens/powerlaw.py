@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
+from fractions import Fraction
 
 import numpy as np
 
@@ -35,56 +35,58 @@ __all__ = [
 ALPHA_MIN = 1.0 + 1e-6
 
 DEFAULT_KS_THRESHOLD = 0.1
-DEFAULT_TOL = 1e-10
 
-_CHUNK = 1 << 21
 _SAMPLE_TABLE_SIZE = 100_000
+_FLOAT_MAX = float(np.finfo(np.float64).max)
+
+# Terms of the Hurwitz series summed directly before the Euler-Maclaurin tail.
+_HEAD = 10
+# Bernoulli numbers B_2, B_4, ..., B_20.
+_BERNOULLI = (
+    Fraction(1, 6), Fraction(-1, 30), Fraction(1, 42), Fraction(-1, 30), Fraction(5, 66),
+    Fraction(-691, 2730), Fraction(7, 6), Fraction(-3617, 510), Fraction(43867, 798),
+    Fraction(-174611, 330),
+)
+_EM_COEFFS = np.array(
+    [float(b / math.factorial(2 * j)) for j, b in enumerate(_BERNOULLI, start=1)]
+)
 
 
 def _require_convergent(alpha: float) -> None:
     if not alpha > ALPHA_MIN:
         raise DomainError(f"zeta divergent: alpha must exceed {ALPHA_MIN}, got {alpha}")
+    if not math.isfinite(alpha):
+        raise DomainError(f"alpha must be finite, got {alpha}")
 
 
-def _tail_cutoff(alpha: float, tol: float) -> int:
-    """Smallest V with bracket width V^(-alpha) <= tol."""
-    return max(2, math.ceil(tol ** (-1.0 / alpha)))
+def _hurwitz(alpha: float, q: np.ndarray) -> np.ndarray:
+    """Hurwitz zeta(alpha, q) = Σ_{k>=0} (q+k)^(-alpha) for each q >= 1.
 
-
-def _partial_power_sum(alpha: float, stop: int) -> float:
-    """Σ v^(-alpha) for v in [1, stop), chunked to bound memory."""
-    total = 0.0
-    lo = 1
-    while lo < stop:
-        hi = min(lo + _CHUNK, stop)
-        block = np.arange(lo, hi, dtype=np.float64)
-        total += float(np.sum(block ** (-alpha)))
-        lo = hi
-    return total
-
-
-def _tail_midpoint(alpha: float, start: float) -> float:
-    """Midpoint of the integral bracket for Σ v^(-alpha), v >= start.
-
-    The tail lies in [I, I + start^(-alpha)] with I = start^(1-alpha)/(alpha-1),
-    so the midpoint is within half the bracket width of the true value.
+    The first _HEAD terms are summed directly; the rest is the
+    Euler-Maclaurin tail at a = q + _HEAD: the integral a^(1-alpha)/(alpha-1),
+    the half term a^(-alpha)/2 and the corrections
+    B_2j/(2j)! · alpha(alpha+1)...(alpha+2j-2) · a^(-alpha-2j+1) for j <= 10
+    (Johansson, arXiv:1309.2877). For alpha in (1, 10] the result is within
+    1e-14 relative of the exact value. The rising factorials are running
+    products of (alpha+k)/a, each finite, so a huge alpha whose powers
+    underflow gives zero corrections rather than 0 * inf.
     """
-    return start ** (1.0 - alpha) / (alpha - 1.0) + 0.5 * start ** (-alpha)
+    q = np.asarray(q, dtype=np.float64)
+    a = q + _HEAD
+    head = ((np.arange(_HEAD)[:, None] + q) ** -alpha).sum(axis=0)
+    a_pow = a ** -alpha
+    factors = np.empty((2 * len(_EM_COEFFS) - 1, q.size))
+    factors[0] = alpha * a_pow / a
+    factors[1:] = (alpha + np.arange(1, len(factors)))[:, None] / a
+    rising = np.cumprod(factors, axis=0)[::2]
+    tail = a ** (1.0 - alpha) / (alpha - 1.0) + 0.5 * a_pow + _EM_COEFFS @ rising
+    return head + tail
 
 
-@lru_cache(maxsize=256)
-def zeta(alpha: float, tol: float = DEFAULT_TOL) -> float:
-    """Σ v^(-alpha) over v >= 1, within absolute error tol.
-
-    Sums the series directly up to a cutoff V chosen so the integral
-    bracket around the remaining tail is narrower than tol, then adds the
-    bracket midpoint.
-    """
+def zeta(alpha: float) -> float:
+    """Σ v^(-alpha) over v >= 1, the Hurwitz zeta function at q = 1."""
     _require_convergent(alpha)
-    if not tol > 0.0:
-        raise DomainError(f"tolerance must be positive, got {tol}")
-    cutoff = _tail_cutoff(alpha, tol)
-    return _partial_power_sum(alpha, cutoff) + _tail_midpoint(alpha, cutoff)
+    return float(_hurwitz(alpha, np.ones(1))[0])
 
 
 def mle_fit(c: Collection) -> float:
@@ -106,62 +108,24 @@ def mle_fit(c: Collection) -> float:
     return 1.0 + c.population / denom
 
 
-def theoretical_pmf(alpha: float, v: int, tol: float = DEFAULT_TOL) -> float:
+def theoretical_pmf(alpha: float, v: int) -> float:
     """P(V = v) = v^(-alpha) / zeta(alpha)."""
     _require_convergent(alpha)
     if v < 1:
         raise DomainError(f"support starts at 1, got {v}")
-    return float(v) ** (-alpha) / zeta(alpha, tol)
+    return float(v) ** (-alpha) / zeta(alpha)
 
 
-def _cdf_at(alpha: float, values: np.ndarray, tol: float) -> np.ndarray:
-    """Theoretical cdf at each of a sorted array of integer support points.
-
-    Below the series cutoff the cdf comes from exact partial sums; above it
-    the complement is the integral-bracket tail midpoint, whose error is at
-    most half of tol.
-    """
-    z = zeta(alpha, tol)
-    cutoff = _tail_cutoff(alpha, tol)
-    out = np.empty(values.shape, dtype=np.float64)
-    small = values < cutoff
-    if small.any():
-        out[small] = _partial_sums_at(alpha, values[small]) / z
-    large = ~small
-    if large.any():
-        starts = values[large].astype(np.float64) + 1.0
-        tails = starts ** (1.0 - alpha) / (alpha - 1.0) + 0.5 * starts ** (-alpha)
-        out[large] = 1.0 - tails / z
-    return np.minimum(out, 1.0)
-
-
-def _partial_sums_at(alpha: float, targets: np.ndarray) -> np.ndarray:
-    """Σ_{w<=t} w^(-alpha) for each t in an ascending integer array."""
-    out = np.empty(len(targets), dtype=np.float64)
-    running = 0.0
-    lo = 1
-    j = 0
-    vmax = int(targets[-1])
-    while lo <= vmax:
-        hi = min(lo + _CHUNK, vmax + 1)
-        block = np.cumsum(np.arange(lo, hi, dtype=np.float64) ** (-alpha))
-        while j < len(targets) and targets[j] < hi:
-            out[j] = running + block[int(targets[j]) - lo]
-            j += 1
-        running += float(block[-1])
-        lo = hi
-    return out
-
-
-def theoretical_cdf(alpha: float, v: int, tol: float = DEFAULT_TOL) -> float:
-    """F(v) = Σ_{w<=v} theoretical_pmf(alpha, w)."""
+def theoretical_cdf(alpha: float, v: int) -> float:
+    """F(v) = Σ_{w<=v} theoretical_pmf(alpha, w) = 1 - zeta(alpha, v+1)/zeta(alpha)."""
     _require_convergent(alpha)
     if v < 1:
         raise DomainError(f"support starts at 1, got {v}")
-    return float(_cdf_at(alpha, np.array([v], dtype=np.int64), tol)[0])
+    z, tail = _hurwitz(alpha, np.array([1.0, float(v) + 1.0]))
+    return float(1.0 - tail / z)
 
 
-def ks_statistic(c: Collection, alpha: float, tol: float = DEFAULT_TOL) -> float:
+def ks_statistic(c: Collection, alpha: float) -> float:
     """Maximum gap between the empirical cdf and the fitted cdf.
 
     Both cdfs are integer step functions, so the supremum over the whole
@@ -169,18 +133,20 @@ def ks_statistic(c: Collection, alpha: float, tol: float = DEFAULT_TOL) -> float
     other. Both one-sided gaps are taken at every observed value: the
     right gap compares the cdfs at v, the left gap compares them just
     below v (where the theoretical cdf has already grown past any
-    unobserved values but the empirical one has not).
+    unobserved values but the empirical one has not). With
+    F(v) = 1 - zeta(alpha, v+1)/zeta(alpha), one kernel call on
+    q = [1, v..., v+1...] gives both sides.
     """
     if not c:
         raise EmptyCollectionError("cannot compare an empty collection")
     _require_convergent(alpha)
-    values = np.array(c.support, dtype=np.int64)
-    counts = np.array([c.counts[int(v)] for v in values], dtype=np.float64)
+    values = np.array(c.support, dtype=np.float64)
+    counts = np.array([c.counts[v] for v in c.support], dtype=np.float64)
     emp = np.cumsum(counts) / c.population
     emp_left = np.concatenate(([0.0], emp[:-1]))
-    fitted = _cdf_at(alpha, values, tol)
-    pmf = values.astype(np.float64) ** (-alpha) / zeta(alpha, tol)
-    fitted_left = fitted - pmf
+    h = _hurwitz(alpha, np.concatenate(([1.0], values, values + 1.0)))
+    fitted_left = 1.0 - h[1 : len(values) + 1] / h[0]
+    fitted = 1.0 - h[len(values) + 1 :] / h[0]
     right_gap = np.abs(emp - fitted).max()
     left_gap = np.abs(emp_left - fitted_left).max()
     return float(max(right_gap, left_gap))
@@ -215,70 +181,71 @@ class PowerLawFit:
         )
 
 
-def classify(
-    c: Collection,
-    threshold: float = DEFAULT_KS_THRESHOLD,
-    tol: float = DEFAULT_TOL,
-) -> PowerLawFit:
+def classify(c: Collection, threshold: float = DEFAULT_KS_THRESHOLD) -> PowerLawFit:
     """Fit the exponent, measure the KS distance, and flag D < threshold."""
     alpha = mle_fit(c)
     _require_convergent(alpha)
-    d = ks_statistic(c, alpha, tol)
+    d = ks_statistic(c, alpha)
     return PowerLawFit(
         alpha=alpha,
         v_min=c.min_value,
-        zeta_value=zeta(alpha, tol),
+        zeta_value=zeta(alpha),
         ks_stat=d,
         is_power_law=d < threshold,
         threshold=threshold,
     )
 
 
-@lru_cache(maxsize=32)
-def _cdf_table(alpha: float, tol: float) -> np.ndarray:
-    values = np.arange(1, _SAMPLE_TABLE_SIZE + 1, dtype=np.int64)
-    return _cdf_at(alpha, values, tol)
+def _invert_tail(alpha: float, z: float, u: np.ndarray, lo: int) -> np.ndarray:
+    """Smallest integer v > lo with F(v) >= u, for each u beyond F(lo).
+
+    Doubles an upper bound, then bisects, all variates at once. Above 2^53
+    the bounds are the nearest floats, and bisection stops where no float
+    lies between them.
+    """
+
+    def cdf(v: np.ndarray) -> np.ndarray:
+        return 1.0 - _hurwitz(alpha, v + 1.0) / z
+
+    if (u > cdf(np.array([_FLOAT_MAX / 2.0]))).any():
+        raise DomainError(f"alpha={alpha} is too close to 1: a draw exceeds the float range")
+    lo_v = np.full(u.shape, float(lo))
+    hi_v = 2.0 * lo_v
+    todo = np.flatnonzero(cdf(hi_v) < u)
+    while todo.size:
+        lo_v[todo] = hi_v[todo]
+        hi_v[todo] *= 2.0
+        todo = todo[cdf(hi_v[todo]) < u[todo]]
+    while True:
+        mid = np.floor(lo_v + 0.5 * (hi_v - lo_v))
+        todo = np.flatnonzero((lo_v < mid) & (mid < hi_v))
+        if not todo.size:
+            return hi_v
+        reached = cdf(mid[todo]) >= u[todo]
+        hi_v[todo[reached]] = mid[todo[reached]]
+        lo_v[todo[~reached]] = mid[todo[~reached]]
 
 
-def _invert_tail(alpha: float, z: float, u: float, lo: int) -> int:
-    """Smallest v > lo with F(v) >= u, using the analytic tail complement."""
-
-    def cdf_tail(v: int) -> float:
-        return 1.0 - _tail_midpoint(alpha, float(v) + 1.0) / z
-
-    hi = lo * 2
-    while cdf_tail(hi) < u:
-        lo = hi
-        hi *= 2
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if cdf_tail(mid) >= u:
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
-def sample(alpha: float, n: int, seed: int, tol: float = DEFAULT_TOL) -> Collection:
+def sample(alpha: float, n: int, seed: int) -> Collection:
     """Draw n values from the zeta power law by inverting the cdf.
 
-    Uniform variates are mapped through a cached cdf table; variates beyond
-    the table's reach are resolved by bisecting the analytic tail. The same
-    seed always produces the same collection.
+    Uniform variates are mapped through a cdf table over 1..100000;
+    variates beyond the table's reach are resolved by bisecting the cdf.
+    The same seed always produces the same collection.
     """
     _require_convergent(alpha)
     if n < 1:
         raise DomainError(f"sample size must be >= 1, got {n}")
     rng = np.random.default_rng(seed)
     u = rng.random(n)
-    table = _cdf_table(alpha, tol)
-    z = zeta(alpha, tol)
+    h = _hurwitz(alpha, np.arange(1, _SAMPLE_TABLE_SIZE + 2, dtype=np.float64))
+    table = 1.0 - h[1:] / h[0]
     in_table = u <= table[-1]
     tally: Counter[int] = Counter()
     if in_table.any():
         drawn = np.searchsorted(table, u[in_table], side="left") + 1
         for v, s in zip(*np.unique(drawn, return_counts=True)):
             tally[int(v)] = int(s)
-    for ui in u[~in_table]:
-        tally[_invert_tail(alpha, z, float(ui), _SAMPLE_TABLE_SIZE)] += 1
+    for v in _invert_tail(alpha, h[0], u[~in_table], _SAMPLE_TABLE_SIZE):
+        tally[int(v)] += 1
     return Collection(dict(tally))

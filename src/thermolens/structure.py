@@ -322,13 +322,13 @@ def efficiency_vs_alpha_curve(alphas: Sequence[float], n_trunc: int) -> TheoryCu
     )
 
 
-def energy_curve(alphas: Sequence[float], tol: float = 1e-10) -> TheoryCurve:
+def energy_curve(alphas: Sequence[float]) -> TheoryCurve:
     """Closed-form E = 1/(alpha-1) and A = -ln(zeta)/alpha across a grid."""
     grid = _validated_grid(alphas)
     return TheoryCurve(
         alphas=tuple(float(a) for a in grid),
         energy=tuple(theoretical_energy(a) for a in grid),
-        free_energy=tuple(theoretical_free_energy(a, tol) for a in grid),
+        free_energy=tuple(theoretical_free_energy(a) for a in grid),
     )
 
 

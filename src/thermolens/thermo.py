@@ -92,9 +92,9 @@ def theoretical_energy(alpha: float) -> float:
     return 1.0 / (alpha - 1.0)
 
 
-def theoretical_free_energy(alpha: float, tol: float = 1e-10) -> float:
+def theoretical_free_energy(alpha: float) -> float:
     """Free energy A = -ln(zeta(alpha)) / alpha of a power law."""
-    return -math.log(powerlaw.zeta(alpha, tol)) / alpha
+    return -math.log(powerlaw.zeta(alpha)) / alpha
 
 
 def fe_reduction_ratio(q: float, alpha: float) -> float:
@@ -160,7 +160,6 @@ class ThermoReport:
 def thermo_report(
     c: Collection,
     model: EnergyModel = EnergyModel.LOGARITHMIC,
-    tol: float = 1e-10,
 ) -> ThermoReport:
     """Compute the full metric bundle, leaving undefined fields absent."""
     _require_nonempty(c)
@@ -176,7 +175,7 @@ def thermo_report(
 
     a = None
     if alpha is not None and alpha > powerlaw.ALPHA_MIN:
-        a = theoretical_free_energy(alpha, tol)
+        a = theoretical_free_energy(alpha)
 
     ratio = None
     if q is not None and alpha is not None:

@@ -54,6 +54,9 @@ class TestParseEvents:
     def test_strict_mode_fails_fast(self):
         with pytest.raises(DomainError, match="line 3"):
             parse_events(["ts,editor,page", "1,a,p", "oops"], strict=True)
+        # Comment lines count: the bad row is physical line 5.
+        with pytest.raises(DomainError, match="^line 5:"):
+            parse_events(["# a", "ts,editor,page", "# b", "1,a,p", "oops"], strict=True)
 
     @pytest.mark.parametrize(
         "row", ["1,a", "1,a,p,extra", "1,,p", "1,a,", "-5,a,p", "nan,a,p"]
@@ -238,6 +241,8 @@ class TestReadershipCsv:
             read_readership_csv(io.StringIO("page,clicks\np1,x\n"))
         with pytest.raises(DomainError):
             read_readership_csv(io.StringIO("page,clicks\np1,-3\n"))
+        with pytest.raises(DomainError, match="^line 5:"):
+            read_readership_csv(io.StringIO("# a\npage,clicks\n# b\np1,5\np1,x\n"))
 
 
 def _ref_pearson(xs, ys):

@@ -50,6 +50,13 @@ class TestSynth:
         assert text.startswith("# thermolens")
         assert text.splitlines()[1] == "value,count"
 
+    def test_non_finite_alpha_exits_one(self, tmp_path, capsys):
+        for alpha in ("inf", "nan"):
+            out = tmp_path / "s.csv"
+            code = run("synth", "--alpha", alpha, "--n", "10", "--seed", "1", "--output", str(out))
+            assert code == 1
+            assert len(capsys.readouterr().err.splitlines()) == 1
+
 
 class TestMetrics:
     def test_fixture_row(self, small_collection_csv, tmp_path):
@@ -127,6 +134,15 @@ class TestCurves:
             "--output", str(tmp_path / "c.csv"),
         )
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "flag,value",
+        [("--alpha-max", "nan"), ("--alpha-max", "inf"), ("--alpha-min", "nan"), ("--step", "nan")],
+    )
+    def test_non_finite_grid_exits_one(self, tmp_path, capsys, flag, value):
+        assert run("curves", flag, value, "--output", str(tmp_path / "c.csv")) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "finite" in err[0]
 
 
 class TestVerifyTheorem:
@@ -228,6 +244,24 @@ class TestCorrelate:
         ) == 0
         payload = json.loads(out.read_text())
         assert payload["pages_analyzed"] == 0  # nothing passes a huge min-edits bar
+
+    def test_saturated_only_on_empty_log(self, tmp_path):
+        events = tmp_path / "events.csv"
+        events.write_text("ts,editor,page\n")
+        readership = tmp_path / "readers.csv"
+        readership.write_text("page,clicks\np0,10\n")
+        payloads = []
+        for extra in ([], ["--saturated-only"]):
+            out = tmp_path / "corr.json"
+            assert run(
+                "correlate", "--events", str(events), "--readership", str(readership),
+                "--output", str(out), *extra,
+            ) == 0
+            payload = json.loads(out.read_text())
+            del payload["_meta"]
+            payloads.append(payload)
+        assert payloads[0] == payloads[1]
+        assert payloads[0]["pages_analyzed"] == 0
 
 
 class TestUsageErrors:

@@ -150,3 +150,5 @@ class TestCsvInterchange:
             read_collection_csv(io.StringIO("value,count\n1,2,3\n"))
         with pytest.raises(DomainError):
             read_collection_csv(io.StringIO("value,count\na,2\n"))
+        with pytest.raises(DomainError, match="^line 5:"):
+            read_collection_csv(io.StringIO("# a\nvalue,count\n# b\n1,2\n1,2,3\n"))

@@ -1,17 +1,21 @@
 """Zeta evaluation, exponent fitting, KS classification, and sampling.
 
 Independent oracles: closed forms pi^2/6 and pi^4/90, scipy's Hurwitz
-zeta, and mpmath's zeta derivative for the population value of the
-log-moment. The estimator here is the closed continuous form
-1 + N / sum(ln v_i / v_min); on exact zeta-law samples its population
-value is 1 + zeta(a)/(-zeta'(a)), not a itself, and the tests below pin
-that actual behavior.
+zeta, mpmath's Hurwitz zeta at 40 digits, and mpmath's zeta derivative
+for the population value of the log-moment. The estimator here is the
+closed continuous form 1 + N / sum(ln v_i / v_min); on exact zeta-law
+samples its population value is 1 + zeta(a)/(-zeta'(a)), not a itself,
+and the tests below pin that actual behavior.
 """
 
 import math
+import time
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import zeta as hurwitz_zeta
 
 import thermolens.powerlaw as pl
@@ -36,6 +40,32 @@ CDF_2_2 = 0.7599088773175333  # PMF_2_1 + PMF_2_2
 ESTIMATOR_LIMIT = {1.5: 1.6643479348, 2.0: 2.7545060313, 2.5: 4.4633151822}
 
 
+KERNEL_ALPHAS = (1 + 1e-6, 1 + 1e-4, 1.0738, 1.2, 2.0, 2.6, 5.0, 10.0)
+KERNEL_QS = (1.0, 2.0, 7.0, 101.0, 1e6, 1e12)
+
+
+class TestHurwitzKernel:
+    @pytest.mark.parametrize("alpha", KERNEL_ALPHAS)
+    def test_matches_mpmath(self, alpha):
+        got = pl._hurwitz(alpha, np.array(KERNEL_QS))
+        with mpmath.workdps(40):
+            for q, value in zip(KERNEL_QS, got):
+                exact = mpmath.zeta(mpmath.mpf(alpha), mpmath.mpf(q))
+                assert abs((mpmath.mpf(float(value)) - exact) / exact) <= 1e-14
+
+    @pytest.mark.parametrize("alpha", KERNEL_ALPHAS)
+    def test_matches_scipy(self, alpha):
+        got = pl._hurwitz(alpha, np.array(KERNEL_QS))
+        want = hurwitz_zeta(alpha, np.array(KERNEL_QS))
+        np.testing.assert_allclose(got, want, rtol=1e-12)
+
+    def test_finite_for_huge_alpha(self):
+        for alpha in (50.0, 300.0, 1e15, 1e300, np.finfo(np.float64).max):
+            got = pl._hurwitz(alpha, np.array([1.0, 2.0, 1e9]))
+            assert np.all(np.isfinite(got))
+            assert got[0] == pytest.approx(1.0, abs=1e-14)
+
+
 class TestZeta:
     def test_closed_form_values(self):
         assert pl.zeta(2.0) == pytest.approx(ZETA_2, abs=1e-6)
@@ -44,13 +74,14 @@ class TestZeta:
 
     def test_matches_scipy_across_range(self):
         for alpha in np.linspace(1.3, 8.0, 15):
-            assert pl.zeta(float(alpha), 1e-8) == pytest.approx(
+            assert pl.zeta(float(alpha)) == pytest.approx(
                 float(hurwitz_zeta(alpha, 1)), abs=1e-8
             )
 
     def test_tolerance_is_honored(self):
-        for tol in (1e-4, 1e-6, 1e-10):
-            assert pl.zeta(1.8, tol) == pytest.approx(float(hurwitz_zeta(1.8, 1)), abs=tol)
+        with mpmath.workdps(40):
+            exact = float(mpmath.zeta(mpmath.mpf(1.8)))
+        assert pl.zeta(1.8) == pytest.approx(exact, rel=1e-14)
 
     def test_strictly_decreasing(self):
         rng = np.random.default_rng(2)
@@ -62,8 +93,15 @@ class TestZeta:
         for bad in (1.0, 1.0 + 1e-7, 0.5, -2.0):
             with pytest.raises(DomainError, match="divergent"):
                 pl.zeta(bad)
-        with pytest.raises(DomainError):
-            pl.zeta(2.0, tol=0.0)
+
+    def test_non_finite_alpha_rejected(self):
+        for bad in (math.inf, -math.inf, math.nan):
+            with pytest.raises(DomainError):
+                pl.zeta(bad)
+            with pytest.raises(DomainError):
+                pl.ks_statistic(Collection({1: 2, 3: 1}), bad)
+            with pytest.raises(DomainError):
+                pl.sample(bad, 10, seed=0)
 
 
 class TestMleFit:
@@ -106,13 +144,22 @@ class TestTheoreticalPmfCdf:
         assert pl.theoretical_cdf(1.5, 10**12) == pytest.approx(1.0, abs=1e-5)
 
     def test_cdf_monotone_and_bounded(self):
-        vs = np.arange(1, 2001, dtype=np.int64)
-        f = pl._cdf_at(1.7, vs, 1e-10)
+        # The second run of values spans v ~ 7.5e5, where an earlier
+        # implementation switched from partial sums to a tail bracket.
+        vs = np.concatenate((np.arange(1, 2001), np.arange(749_000, 751_000)))
+        f = np.array([pl.theoretical_cdf(1.7, int(v)) for v in vs])
         assert np.all(np.diff(f) > 0)
         assert f[-1] <= 1.0
-        # Across the direct-sum/tail-bracket seam the wiggle is below tol.
-        coarse = pl._cdf_at(1.7, vs, 1e-4)
-        assert np.all(np.diff(coarse) >= -1e-4)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        alpha=st.floats(min_value=1.0 + 2e-6, max_value=4.0),
+        v=st.integers(min_value=2, max_value=1000),
+    )
+    def test_cdf_steps_by_the_pmf(self, alpha, v):
+        below, at = pl.theoretical_cdf(alpha, v - 1), pl.theoretical_cdf(alpha, v)
+        assert below < at <= 1.0
+        assert at - below == pytest.approx(pl.theoretical_pmf(alpha, v), rel=1e-9, abs=1e-14)
 
     def test_pmf_cdf_consistency(self):
         total = sum(pl.theoretical_pmf(2.5, v) for v in range(1, 51))
@@ -185,6 +232,21 @@ class TestClassify:
         with pytest.raises(DegenerateError):
             pl.classify(Collection({4: 10}))
 
+    def test_fit_near_one_is_fast(self):
+        # alpha ~ 1.074: a direct zeta series would need ~2e9 terms.
+        c = Collection({1: 1, 10**6: 50})
+        started = time.perf_counter()
+        fit = pl.classify(c)
+        elapsed = time.perf_counter() - started
+        assert fit.alpha == pytest.approx(1.0738, abs=1e-4)
+        assert elapsed < 0.05
+
+    def test_huge_alpha_gives_finite_d(self):
+        fit = pl.classify(Collection({10**9: 10**6, 10**9 + 1: 1}))
+        assert fit.alpha > 1e14
+        assert math.isfinite(fit.zeta_value) and math.isfinite(fit.ks_stat)
+        assert 0.0 <= fit.ks_stat <= 1.0
+
     def test_json_and_csv_shapes(self):
         fit = pl.classify(pl.sample(2.0, 2000, seed=9))
         d = fit.to_json_dict()
@@ -218,6 +280,16 @@ class TestSample:
             pl.sample(1.0, 10, seed=0)
         with pytest.raises(DomainError):
             pl.sample(2.0, 0, seed=0)
+        # At alpha = 1.01 about 8e-4 of all draws lie beyond the float range.
+        with pytest.raises(DomainError, match="float range"):
+            pl.sample(1.01, 100_000, seed=3)
+
+    def test_tail_inversion_brackets_each_draw(self):
+        u = np.array([0.9999, 0.99999, 0.999999, 1 - 1e-7])
+        drawn = pl._invert_tail(1.5, pl.zeta(1.5), u, 1000)
+        for ui, v in zip(u, drawn):
+            v = int(v)
+            assert pl.theoretical_cdf(1.5, v - 1) < ui <= pl.theoretical_cdf(1.5, v)
 
     @pytest.mark.parametrize("alpha", [1.5, 2.0, 2.5])
     def test_estimator_reaches_its_population_value(self, alpha):
