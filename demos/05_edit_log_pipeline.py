@@ -38,6 +38,11 @@ def build_corpus() -> list[str]:
     return lines
 
 
+def fmt_rho(rho: float | None) -> str:
+    """A correlation to 3 places; n/a when it is absent (a constant series)."""
+    return "n/a" if rho is None else f"{rho:.3f}"
+
+
 def main() -> None:
     lines = build_corpus()
     parsed = parse_events(lines, strict=True)
@@ -71,10 +76,10 @@ def main() -> None:
     report = correlate_pages(pages, readership)
     all_group = report.groups["all"]
     print(f"pages analyzed: {report.pages_analyzed}")
-    print(f"rho(Q, readership)            = {all_group.readership_rho['Q']:.3f}")
-    print(f"rho(S, readership)            = {all_group.readership_rho['S']:.3f}")
-    print(f"rho(total_edits, readership)  = {all_group.readership_rho['total_edits']:.3f}")
-    print(f"rho(Q, editor count)          = {all_group.editors_rho['Q']:.3f}")
+    print(f"rho(Q, readership)            = {fmt_rho(all_group.readership_rho['Q'])}")
+    print(f"rho(S, readership)            = {fmt_rho(all_group.readership_rho['S'])}")
+    print(f"rho(total_edits, readership)  = {fmt_rho(all_group.readership_rho['total_edits'])}")
+    print(f"rho(Q, editor count)          = {fmt_rho(all_group.editors_rho['Q'])}")
     print(
         "\nEfficiency carries the planted quality signal; raw volume"
         " (total edits) correlates only\nincidentally. With real logs, feed"

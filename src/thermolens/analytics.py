@@ -13,16 +13,16 @@ import statistics
 from bisect import bisect_left
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from functools import lru_cache
 from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 
 import numpy as np
 
-from . import powerlaw, structure, thermo
-from .collection import Collection, CsvRows, EnergyModel
-from .errors import DegenerateError, DomainError, EmptyCollectionError
+from . import powerlaw, thermo
+from .collection import Collection, CsvRows, EnergyModel, Row
+from .errors import DegenerateError, DomainError
 
 __all__ = [
     "EditEvent",
@@ -254,37 +254,28 @@ def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
 
 
 @dataclass(frozen=True)
-class EvolutionRow:
-    """One month of the evolution series."""
+class EvolutionRow(Row):
+    """One month of the evolution series: the month and its metric bundle."""
 
     month: str
     report: thermo.ThermoReport
-    fit: powerlaw.PowerLawFit | None
-    classes: structure.ClassDecomposition
 
     @property
     def log_population(self) -> float:
         return math.log(self.report.population)
 
-    CSV_HEADER = "month,N,S,R,logN,E,Q,alpha,A,fe_ratio"
-
-    def to_csv_row(self) -> str:
-        r = self.report
-        cells = [self.month, str(r.population)]
-        cells += [
-            "" if x is None else format(x, ".12g")
-            for x in (
-                r.entropy,
-                r.entropy_reduction,
-                self.log_population,
-                r.avg_energy,
-                r.entropy_efficiency,
-                r.alpha,
-                r.free_energy,
-                r.fe_reduction_ratio,
-            )
-        ]
-        return ",".join(cells)
+    COLUMNS = (
+        ("month", "month"),
+        ("N", "report.population"),
+        ("S", "report.entropy"),
+        ("R", "report.entropy_reduction"),
+        ("logN", "log_population"),
+        ("E", "report.avg_energy"),
+        ("Q", "report.entropy_efficiency"),
+        ("alpha", "report.alpha"),
+        ("A", "report.free_energy"),
+        ("fe_ratio", "report.fe_reduction_ratio"),
+    )
 
 
 _T = TypeVar("_T")
@@ -301,29 +292,17 @@ def _map_workers(fn: Callable[[_T], _R], items: Sequence[_T], threads: int) -> l
 def evolution_report(
     monthly: Mapping[str, Collection],
     model: EnergyModel = EnergyModel.LOGARITHMIC,
-    ks_threshold: float = powerlaw.DEFAULT_KS_THRESHOLD,
-    class_base: int = 10,
-    threads: int = 1,
 ) -> list[EvolutionRow]:
-    """Metric bundle, power-law fit, and class decomposition per month.
+    """The metric bundle of each month, ordered by month.
 
     Months whose collections are degenerate keep their row with the
-    affected fields absent; the series never aborts. Rows are ordered by
-    month and depend only on that month's collection.
+    affected fields absent; the series never aborts. Each row depends only
+    on that month's collection.
     """
-
-    def build(item: tuple[str, Collection]) -> EvolutionRow:
-        month, coll = item
-        report = thermo.thermo_report(coll, model)
-        try:
-            fit = powerlaw.classify(coll, ks_threshold)
-        except (DegenerateError, EmptyCollectionError, DomainError):
-            fit = None
-        classes = structure.class_decompose(coll, class_base)
-        return EvolutionRow(month=month, report=report, fit=fit, classes=classes)
-
-    items = sorted(monthly.items())
-    return _map_workers(build, items, threads)
+    return [
+        EvolutionRow(month=month, report=thermo.thermo_report(coll, model))
+        for month, coll in sorted(monthly.items())
+    ]
 
 
 def read_readership_csv(lines: Iterable[str]) -> dict[str, int]:
@@ -347,49 +326,40 @@ def read_readership_csv(lines: Iterable[str]) -> dict[str, int]:
 
 
 @dataclass(frozen=True)
-class PageMetrics:
-    """Per-page metric bundle used by the pages and correlate outputs."""
+class PageMetrics(Row):
+    """Per-page metric bundle used by the pages and correlate outputs.
+
+    A page without a power-law fit (one value, zero log-spread, or an
+    exponent too close to 1) has no KS distance and is not a power law.
+    """
 
     page_id: str
-    population: int
-    entropy: float
-    entropy_reduction: float
-    efficiency: float | None
+    report: thermo.ThermoReport
     total_energy: float
     total_edits: int
-    alpha: float | None
     ks_stat: float | None
-    is_power_law: bool | None
+    is_power_law: bool
     saturated: bool | None = None
     readership: int | None = None
 
-    CSV_HEADER = "page,N,S,R,Q,total_energy,total_edits,alpha,D,is_power_law,saturated"
+    @property
+    def alpha(self) -> float | None:
+        """The fitted exponent, absent when the page has no power-law fit."""
+        return None if self.ks_stat is None else self.report.alpha
 
-    def to_csv_row(self) -> str:
-        def fmt(x) -> str:
-            if x is None:
-                return ""
-            if isinstance(x, bool):
-                return str(x).lower()
-            if isinstance(x, float):
-                return format(x, ".12g")
-            return str(x)
-
-        return ",".join(
-            [
-                self.page_id,
-                str(self.population),
-                fmt(self.entropy),
-                fmt(self.entropy_reduction),
-                fmt(self.efficiency),
-                fmt(self.total_energy),
-                str(self.total_edits),
-                fmt(self.alpha),
-                fmt(self.ks_stat),
-                fmt(self.is_power_law),
-                fmt(self.saturated),
-            ]
-        )
+    COLUMNS = (
+        ("page", "page_id"),
+        ("N", "report.population"),
+        ("S", "report.entropy"),
+        ("R", "report.entropy_reduction"),
+        ("Q", "report.entropy_efficiency"),
+        ("total_energy", "total_energy"),
+        ("total_edits", "total_edits"),
+        ("alpha", "alpha"),
+        ("D", "ks_stat"),
+        ("is_power_law", "is_power_law"),
+        ("saturated", "saturated"),
+    )
 
 
 def _page_metrics(
@@ -400,30 +370,23 @@ def _page_metrics(
     saturated: bool | None = None,
     readership: int | None = None,
 ) -> PageMetrics:
-    s = thermo.entropy(coll)
-    r = thermo.entropy_reduction(coll)
-    e = thermo.average_energy(coll, model)
-    q = s / e if e != 0.0 else None
-    try:
-        fit = powerlaw.classify(coll, ks_threshold)
-        alpha, d, flag = fit.alpha, fit.ks_stat, fit.is_power_law
-    except (DegenerateError, EmptyCollectionError, DomainError):
-        # No meaningful fit; a page with zero value spread is not a power law.
-        alpha, d, flag = None, None, False
+    report = thermo.thermo_report(coll, model)
+    d = None
+    if report.alpha is not None:
+        try:
+            d = powerlaw.ks_statistic(coll, report.alpha)
+        except DomainError:
+            pass  # an exponent too close to 1 has no zeta law to test against
     total_energy = (
         coll.log_value_sum if model is EnergyModel.LOGARITHMIC else float(coll.value_sum)
     )
     return PageMetrics(
         page_id=page_id,
-        population=coll.population,
-        entropy=s,
-        entropy_reduction=r,
-        efficiency=q,
+        report=report,
         total_energy=total_energy,
         total_edits=coll.value_sum,
-        alpha=alpha,
         ks_stat=d,
-        is_power_law=flag,
+        is_power_law=d is not None and d < ks_threshold,
         saturated=saturated,
         readership=readership,
     )
@@ -455,17 +418,8 @@ def page_reports(
     return _map_workers(build, sorted(colls), threads)
 
 
+# PageMetrics columns correlated against readership and editor count.
 _CORRELATION_METRICS = ("S", "R", "Q", "total_energy", "total_edits")
-
-
-def _metric_value(m: PageMetrics, key: str) -> float | None:
-    return {
-        "S": m.entropy,
-        "R": m.entropy_reduction,
-        "Q": m.efficiency,
-        "total_energy": m.total_energy,
-        "total_edits": float(m.total_edits),
-    }[key]
 
 
 @dataclass(frozen=True)
@@ -480,34 +434,18 @@ class GroupCorrelations:
     edits_mean: float | None
     edits_median: float | None
 
-    def to_json_dict(self) -> dict:
-        return {
-            "size": self.size,
-            "readership_rho": self.readership_rho,
-            "editors_rho": self.editors_rho,
-            "readership_mean": self.readership_mean,
-            "readership_median": self.readership_median,
-            "edits_mean": self.edits_mean,
-            "edits_median": self.edits_median,
-        }
-
 
 @dataclass(frozen=True)
 class CorrelationReport:
     """Groupwise correlation summary over the joined page set."""
 
-    groups: dict[str, GroupCorrelations]
     pages_analyzed: int
     pages_dropped: int
     ks_threshold: float
+    groups: dict[str, GroupCorrelations]
 
     def to_json_dict(self) -> dict:
-        return {
-            "pages_analyzed": self.pages_analyzed,
-            "pages_dropped": self.pages_dropped,
-            "ks_threshold": self.ks_threshold,
-            "groups": {name: g.to_json_dict() for name, g in self.groups.items()},
-        }
+        return asdict(self)
 
 
 def _safe_rho(pairs: list[tuple[float, float]]) -> float | None:
@@ -523,13 +461,13 @@ def _group_stats(members: list[PageMetrics]) -> GroupCorrelations:
     readership_rho: dict[str, float | None] = {}
     editors_rho: dict[str, float | None] = {}
     for key in _CORRELATION_METRICS:
-        with_metric = [
-            (m, _metric_value(m, key)) for m in members if _metric_value(m, key) is not None
-        ]
+        with_metric = [(m, val) for m in members if (val := m.column(key)) is not None]
         readership_rho[key] = _safe_rho(
             [(val, float(m.readership)) for m, val in with_metric if m.readership is not None]
         )
-        editors_rho[key] = _safe_rho([(val, float(m.population)) for m, val in with_metric])
+        editors_rho[key] = _safe_rho(
+            [(val, float(m.report.population)) for m, val in with_metric]
+        )
     readerships = [m.readership for m in members if m.readership is not None]
     edits = [m.total_edits for m in members]
     return GroupCorrelations(

@@ -14,10 +14,10 @@ import json
 import math
 import os
 import sys
-from typing import IO, Callable
+from typing import IO, Callable, Iterable
 
 from . import __version__, analytics, powerlaw, structure, thermo
-from .collection import EnergyModel, read_collection_csv, write_collection_csv
+from .collection import EnergyModel, Row, read_collection_csv, write_collection_csv
 from .errors import ThermolensError
 
 _CONFIG_EXCLUDE = {"func", "output", "threads"}
@@ -67,6 +67,21 @@ def _write_json(path: str, payload: dict) -> None:
         f.write("\n")
 
 
+def _write_csv(args: argparse.Namespace, header: str, rows: Iterable[Row]) -> None:
+    with _open_out(args.output) as f:
+        f.write(f"# {_config_comment(args)}\n{header}\n")
+        for row in rows:
+            f.write(row.to_csv_row() + "\n")
+
+
+def _write_row(args: argparse.Namespace, row: Row) -> None:
+    """One row to args.output, in args.format."""
+    if args.format == "json":
+        _write_json(args.output, {"_meta": _meta(args), **row.to_json_dict()})
+    else:
+        _write_csv(args, row.CSV_HEADER, [row])
+
+
 def _alpha_grid(alpha_min: float, alpha_max: float, step: float) -> list[float]:
     if not all(map(math.isfinite, (alpha_min, alpha_max, step))):
         raise ThermolensError(
@@ -88,27 +103,13 @@ def _alpha_grid(alpha_min: float, alpha_max: float, step: float) -> list[float]:
 def cmd_metrics(args) -> None:
     with open(args.input, encoding="utf-8") as f:
         coll = read_collection_csv(f)
-    report = thermo.thermo_report(coll, _model(args))
-    if args.format == "json":
-        _write_json(args.output, {"_meta": _meta(args), **report.to_json_dict()})
-    else:
-        with _open_out(args.output) as f:
-            f.write(f"# {_config_comment(args)}\n")
-            f.write(report.CSV_HEADER + "\n")
-            f.write(report.to_csv_row() + "\n")
+    _write_row(args, thermo.thermo_report(coll, _model(args)))
 
 
 def cmd_fit(args) -> None:
     with open(args.input, encoding="utf-8") as f:
         coll = read_collection_csv(f)
-    fit = powerlaw.classify(coll, args.ks_threshold)
-    if args.format == "csv":
-        with _open_out(args.output) as f:
-            f.write(f"# {_config_comment(args)}\n")
-            f.write(fit.CSV_HEADER + "\n")
-            f.write(fit.to_csv_row() + "\n")
-    else:
-        _write_json(args.output, {"_meta": _meta(args), **fit.to_json_dict()})
+    _write_row(args, powerlaw.classify(coll, args.ks_threshold))
 
 
 def cmd_synth(args) -> None:
@@ -150,15 +151,8 @@ def _read_events(args) -> list[analytics.EditEvent]:
 
 def cmd_evolve(args) -> None:
     events = _read_events(args)
-    monthly = analytics.monthly_collections(events)
-    rows = analytics.evolution_report(
-        monthly, _model(args), args.ks_threshold, args.base, threads=args.threads
-    )
-    with _open_out(args.output) as f:
-        f.write(f"# {_config_comment(args)}\n")
-        f.write(analytics.EvolutionRow.CSV_HEADER + "\n")
-        for row in rows:
-            f.write(row.to_csv_row() + "\n")
+    rows = analytics.evolution_report(analytics.monthly_collections(events), _model(args))
+    _write_csv(args, analytics.EvolutionRow.CSV_HEADER, rows)
 
 
 def cmd_pages(args) -> None:
@@ -173,11 +167,7 @@ def cmd_pages(args) -> None:
         ks_threshold=args.ks_threshold,
         threads=args.threads,
     )
-    with _open_out(args.output) as f:
-        f.write(f"# {_config_comment(args)}\n")
-        f.write(analytics.PageMetrics.CSV_HEADER + "\n")
-        for row in rows:
-            f.write(row.to_csv_row() + "\n")
+    _write_csv(args, analytics.PageMetrics.CSV_HEADER, rows)
 
 
 def cmd_correlate(args) -> None:
@@ -215,17 +205,17 @@ def _add_tol(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_threads(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
+def _add_threads(p: argparse.ArgumentParser) -> argparse.Action:
+    return p.add_argument(
         "--threads",
         type=int,
         default=_env_default("THREADS", 1, int),
-        help="worker threads for per-month/per-page computation (default: 1)",
+        help="worker threads for per-page computation (default: 1)",
     )
 
 
-def _add_ks_threshold(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
+def _add_ks_threshold(p: argparse.ArgumentParser) -> argparse.Action:
+    return p.add_argument(
         "--ks-threshold",
         type=float,
         default=_env_default("KS_THRESHOLD", powerlaw.DEFAULT_KS_THRESHOLD, float),
@@ -335,11 +325,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--base",
         type=int,
         default=_env_default("BASE", 10, int),
-        help="logarithmic class base (default: 10)",
+        help="logarithmic class base; recorded in the output header, but evolve "
+        "does not use it (default: 10)",
     )
     _add_model(p)
-    _add_ks_threshold(p)
-    _add_threads(p)
+    _add_ks_threshold(p).help = (
+        "KS threshold; recorded in the output header, but evolve does not use it (default: 0.1)"
+    )
+    _add_threads(p).help = "accepted for compatibility; evolve does not use it"
     p.set_defaults(func=cmd_evolve)
 
     p = sub.add_parser("pages", help="event CSV -> per-page metrics with flags")

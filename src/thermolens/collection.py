@@ -2,7 +2,8 @@
 
 A collection maps each observed value v (e.g. a per-editor edit count) to
 the number of individuals holding that value. All metrics in this package
-are functions of this histogram, never of individual identities.
+are functions of this histogram, never of individual identities. The
+module also holds the CSV plumbing every reader and output row shares.
 """
 
 from __future__ import annotations
@@ -14,7 +15,8 @@ from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import IO, Iterator
+from operator import attrgetter
+from typing import IO, ClassVar, Iterator
 
 from .errors import DomainError, EmptyCollectionError
 
@@ -145,6 +147,45 @@ class CsvRows:
     @property
     def line(self) -> int:
         return self._reader.line_num + self._comments
+
+
+def format_cell(x) -> str:
+    """One CSV cell: None is blank, a bool is true/false, a float is .12g."""
+    if x is None:
+        return ""
+    if isinstance(x, bool):
+        return "true" if x else "false"
+    if isinstance(x, float):
+        return format(x, ".12g")
+    return str(x)
+
+
+class Row:
+    """An output row serialized through one ``(header, attribute)`` table.
+
+    A subclass sets COLUMNS, whose attributes may be dotted paths into a
+    nested row; its CSV_HEADER, to_csv_row and to_json_dict all follow
+    from that one table, in its order.
+    """
+
+    COLUMNS: ClassVar[tuple[tuple[str, str], ...]] = ()
+    CSV_HEADER: ClassVar[str] = ""
+    _getters: ClassVar[dict[str, attrgetter]] = {}
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls.CSV_HEADER = ",".join(name for name, _ in cls.COLUMNS)
+        cls._getters = {name: attrgetter(attr) for name, attr in cls.COLUMNS}
+
+    def column(self, name: str):
+        """The value under the given column header."""
+        return self._getters[name](self)
+
+    def to_csv_row(self) -> str:
+        return ",".join(format_cell(get(self)) for get in self._getters.values())
+
+    def to_json_dict(self) -> dict:
+        return {name: get(self) for name, get in self._getters.items()}
 
 
 class EnergyModel(Enum):

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .collection import Collection
+from .collection import Collection, Row
 from .errors import DegenerateError, DomainError, EmptyCollectionError
 
 __all__ = [
@@ -105,6 +105,9 @@ def mle_fit(c: Collection) -> float:
         denom = c.log_value_sum
     else:
         denom = math.fsum(s * math.log(v / v_min) for v, s in sorted(c.counts.items()))
+        if denom == 0.0:
+            # Values above 2^53 can differ by less than the float spacing.
+            raise DegenerateError("zero log-spread: values equal at float precision")
     return 1.0 + c.population / denom
 
 
@@ -153,7 +156,7 @@ def ks_statistic(c: Collection, alpha: float) -> float:
 
 
 @dataclass(frozen=True)
-class PowerLawFit:
+class PowerLawFit(Row):
     """Result of fitting and testing a collection against a power law."""
 
     alpha: float
@@ -163,22 +166,13 @@ class PowerLawFit:
     is_power_law: bool
     threshold: float = DEFAULT_KS_THRESHOLD
 
-    def to_json_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "v_min": self.v_min,
-            "zeta": self.zeta_value,
-            "D": self.ks_stat,
-            "is_power_law": self.is_power_law,
-        }
-
-    CSV_HEADER = "alpha,v_min,zeta,D,is_power_law"
-
-    def to_csv_row(self) -> str:
-        return (
-            f"{self.alpha:.12g},{self.v_min},{self.zeta_value:.12g},"
-            f"{self.ks_stat:.12g},{str(self.is_power_law).lower()}"
-        )
+    COLUMNS = (
+        ("alpha", "alpha"),
+        ("v_min", "v_min"),
+        ("zeta", "zeta_value"),
+        ("D", "ks_stat"),
+        ("is_power_law", "is_power_law"),
+    )
 
 
 def classify(c: Collection, threshold: float = DEFAULT_KS_THRESHOLD) -> PowerLawFit:

@@ -16,7 +16,7 @@ from typing import IO, NamedTuple, Sequence
 
 import numpy as np
 
-from .collection import Collection, Distribution, EnergyModel
+from .collection import Collection, Distribution, EnergyModel, Row, format_cell
 from .errors import ConvergenceError, DomainError, EmptyCollectionError
 from .powerlaw import ALPHA_MIN
 from .thermo import theoretical_energy, theoretical_free_energy
@@ -184,7 +184,7 @@ def max_entropy_oracle(
 
 
 @dataclass(frozen=True)
-class StationarityReport:
+class StationarityReport(Row):
     """How closely a distribution matches the stationary exponential form.
 
     `rate` and `offset` are the affine-fit coefficients of ln(p_v) against
@@ -203,16 +203,15 @@ class StationarityReport:
     efficiency: float
     efficiency_gap: float
 
-    def to_json_dict(self) -> dict:
-        return {
-            "lambda": self.rate,
-            "kappa": self.offset,
-            "max_residual": self.max_residual,
-            "S": self.entropy,
-            "E": self.avg_energy,
-            "Q": self.efficiency,
-            "efficiency_gap": self.efficiency_gap,
-        }
+    COLUMNS = (
+        ("lambda", "rate"),
+        ("kappa", "offset"),
+        ("max_residual", "max_residual"),
+        ("S", "entropy"),
+        ("E", "avg_energy"),
+        ("Q", "efficiency"),
+        ("efficiency_gap", "efficiency_gap"),
+    )
 
 
 def stationarity_report(
@@ -348,9 +347,8 @@ def write_curve_csv(curve: TheoryCurve, stream: IO[str], header_comment: str | N
     stream.write("alpha,S,Q,R,E,A\n")
     columns = [getattr(curve, attr) for _, attr in _CURVE_COLUMNS]
     for i, alpha in enumerate(curve.alphas):
-        cells = [format(alpha, ".12g")]
-        cells += ["" if col is None else format(col[i], ".12g") for col in columns]
-        stream.write(",".join(cells) + "\n")
+        cells = [alpha, *(None if col is None else col[i] for col in columns)]
+        stream.write(",".join(map(format_cell, cells)) + "\n")
 
 
 def merge_curves(fig1: TheoryCurve, fig2: TheoryCurve) -> TheoryCurve:

@@ -10,12 +10,11 @@ A = -ln(zeta(alpha))/alpha (free energy) apply, with temperature 1/alpha.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 from . import powerlaw
-from .collection import Collection, EnergyModel
+from .collection import Collection, EnergyModel, Row
 from .errors import (
     DegenerateError,
     DomainError,
@@ -105,7 +104,7 @@ def fe_reduction_ratio(q: float, alpha: float) -> float:
 
 
 @dataclass(frozen=True)
-class ThermoReport:
+class ThermoReport(Row):
     """Bundle of metrics for one collection.
 
     `entropy`, `entropy_reduction`, `avg_energy` and `entropy_efficiency`
@@ -124,37 +123,16 @@ class ThermoReport:
     free_energy: float | None
     fe_reduction_ratio: float | None
 
-    CSV_HEADER = "N,S,R,E,Q,alpha,A,fe_ratio"
-
-    def to_csv_row(self) -> str:
-        cells = [str(self.population)] + [
-            "" if x is None else format(x, ".12g")
-            for x in (
-                self.entropy,
-                self.entropy_reduction,
-                self.avg_energy,
-                self.entropy_efficiency,
-                self.alpha,
-                self.free_energy,
-                self.fe_reduction_ratio,
-            )
-        ]
-        return ",".join(cells)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "N": self.population,
-            "S": self.entropy,
-            "R": self.entropy_reduction,
-            "E": self.avg_energy,
-            "Q": self.entropy_efficiency,
-            "alpha": self.alpha,
-            "A": self.free_energy,
-            "fe_ratio": self.fe_reduction_ratio,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
+    COLUMNS = (
+        ("N", "population"),
+        ("S", "entropy"),
+        ("R", "entropy_reduction"),
+        ("E", "avg_energy"),
+        ("Q", "entropy_efficiency"),
+        ("alpha", "alpha"),
+        ("A", "free_energy"),
+        ("fe_ratio", "fe_reduction_ratio"),
+    )
 
 
 def thermo_report(
@@ -162,9 +140,8 @@ def thermo_report(
     model: EnergyModel = EnergyModel.LOGARITHMIC,
 ) -> ThermoReport:
     """Compute the full metric bundle, leaving undefined fields absent."""
-    _require_nonempty(c)
     s = entropy(c)
-    r = entropy_reduction(c)
+    r = math.log(c.population) - s
     e = average_energy(c, model)
     q = s / e if e != 0.0 else None
 

@@ -2,6 +2,7 @@
 
 import io
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from thermolens import (
     DegenerateError,
     DomainError,
     EditEvent,
+    EnergyModel,
     correlate_pages,
     evolution_report,
     monthly_collections,
@@ -20,7 +22,9 @@ from thermolens import (
     pearson,
     read_readership_csv,
     saturation_filter,
+    thermo_report,
 )
+from thermolens import powerlaw, structure
 from thermolens.analytics import PageTimeline
 from helpers import corpus_lines, corpus_event_count, month_start, planted_pages
 
@@ -191,7 +195,7 @@ class TestEvolutionReport:
         assert row.report.entropy_efficiency == pytest.approx(2.0)
         assert row.report.alpha == pytest.approx(1 + 2 / math.log(2), abs=1e-6)
         assert row.log_population == pytest.approx(math.log(4))
-        assert [b.population for b in row.classes.bins] == [4]
+        assert row.report == thermo_report(Collection({1: 2, 2: 2}))
 
     def test_degenerate_months_keep_rows(self):
         rows = evolution_report(
@@ -201,9 +205,9 @@ class TestEvolutionReport:
         assert jan.report.entropy == 0.0
         assert jan.report.entropy_efficiency is None
         assert jan.report.alpha is None
-        assert jan.fit is None
+        assert jan.report.free_energy is None
         assert feb.report.entropy_efficiency == 0.0
-        assert feb.fit is None
+        assert feb.report.alpha is None
 
     def test_windowing_purity(self):
         jan_events = [ev(JAN + i, f"e{i % 7}") for i in range(40)]
@@ -212,12 +216,15 @@ class TestEvolutionReport:
         alone = evolution_report(monthly_collections(jan_events))
         assert combined[0] == alone[0]
 
-    def test_thread_count_does_not_change_rows(self):
+    def test_rows_are_month_ordered_reports(self):
         monthly = monthly_collections(
-            [ev(JAN + i, f"e{i % 11}") for i in range(60)]
-            + [ev(FEB + i, f"f{i % 5}") for i in range(25)]
+            [ev(FEB + i, f"f{i % 5}") for i in range(25)]
+            + [ev(JAN + i, f"e{i % 11}") for i in range(60)]
         )
-        assert evolution_report(monthly) == evolution_report(monthly, threads=8)
+        rows = evolution_report(monthly, EnergyModel.LINEAR)
+        assert [row.month for row in rows] == ["2021-01", "2021-02"]
+        for row in rows:
+            assert row.report == thermo_report(monthly[row.month], EnergyModel.LINEAR)
 
     def test_csv_row_format(self):
         rows = evolution_report({"2021-01": Collection({1: 3})})
@@ -340,7 +347,7 @@ class TestPageReports:
         assert by_page["big"].total_edits == 60
         assert by_page["big"].saturated  # all edits long before the horizon
         assert not by_page["small"].saturated  # below min_edits
-        assert by_page["small"].population == 1
+        assert by_page["small"].report.population == 1
         assert by_page["small"].alpha is None  # degenerate page
         assert by_page["small"].is_power_law is False
 
@@ -359,3 +366,44 @@ class TestPageReports:
         assert sum(c.value_sum for c in monthly.values()) == total
         pages = page_collections(parsed.events)
         assert sum(c.value_sum for c in pages.values()) == total
+
+
+class TestKernelCallCounts:
+    """Each page fits and evaluates zeta at most once; months do neither twice."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = Counter()
+
+        def counted(module, name):
+            fn = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        for name in ("mle_fit", "zeta", "classify"):
+            counted(powerlaw, name)
+        counted(structure, "class_decompose")
+        return counts
+
+    def test_page_reports(self, calls):
+        lines = corpus_lines([(2021, 1, 2.0, 150), (2021, 2, 2.4, 120)], seed=9, n_pages=8)
+        rows = page_reports(parse_events(lines, strict=True).events)
+        assert len(rows) == 8
+        assert 0 < calls["mle_fit"] <= 8 and 0 < calls["zeta"] <= 8
+
+    def test_correlate_pages(self, calls):
+        pages = planted_pages(12, seed=4)
+        report = correlate_pages(pages, {p: 10 + i for i, p in enumerate(pages)})
+        assert report.pages_analyzed == 12
+        assert 0 < calls["mle_fit"] <= 12 and 0 < calls["zeta"] <= 12
+
+    def test_evolution_report_neither_classifies_nor_decomposes(self, calls):
+        lines = corpus_lines([(2021, 1, 2.0, 150), (2021, 2, 2.4, 120)], seed=9, n_pages=8)
+        rows = evolution_report(monthly_collections(parse_events(lines, strict=True).events))
+        assert len(rows) == 2
+        assert calls["classify"] == 0 and calls["class_decompose"] == 0
+        assert calls["mle_fit"] == 2 and calls["zeta"] == 2

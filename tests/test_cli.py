@@ -85,6 +85,16 @@ class TestMetrics:
         assert code == 1
         assert "thermolens: error:" in capsys.readouterr().err
 
+    def test_values_equal_at_float_precision_leave_fit_blank(self, tmp_path):
+        src = tmp_path / "huge.csv"
+        src.write_text("value,count\n1152921504606846976,1\n1152921504606846977,1\n")
+        out = tmp_path / "m.csv"
+        assert run("metrics", "--input", str(src), "--output", str(out)) == 0
+        header, row = out.read_text().splitlines()[1:]
+        cells = dict(zip(header.split(","), row.split(",")))
+        assert cells["alpha"] == cells["A"] == cells["fe_ratio"] == ""
+        assert cells["N"] == "2" and float(cells["Q"]) > 0
+
     def test_empty_collection_exits_one(self, tmp_path, capsys):
         src = tmp_path / "empty.csv"
         src.write_text("value,count\n")
@@ -103,6 +113,13 @@ class TestFit:
         payload = json.loads(out.read_text())
         assert set(payload) == {"_meta", "alpha", "v_min", "zeta", "D", "is_power_law"}
         assert payload["v_min"] == 1
+
+    def test_values_equal_at_float_precision_exit_one(self, tmp_path, capsys):
+        src = tmp_path / "huge.csv"
+        src.write_text("value,count\n1152921504606846976,1\n1152921504606846977,1\n")
+        assert run("fit", "--input", str(src), "--output", str(tmp_path / "f.json")) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "log-spread" in err[0]
 
     def test_env_override_threshold(self, tmp_path, monkeypatch):
         coll = tmp_path / "c.csv"

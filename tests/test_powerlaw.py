@@ -124,6 +124,11 @@ class TestMleFit:
         with pytest.raises(DegenerateError, match="log-spread"):
             pl.mle_fit(Collection({3: 10}))
 
+    def test_values_equal_at_float_precision_rejected(self):
+        # 2^60 + 1 over 2^60 rounds to 1.0, so every log ratio is 0.
+        with pytest.raises(DegenerateError, match="log-spread"):
+            pl.mle_fit(Collection({2**60: 1, 2**60 + 1: 1}))
+
     def test_empty_rejected(self):
         with pytest.raises(EmptyCollectionError):
             pl.mle_fit(from_values([]))
