@@ -62,7 +62,7 @@ from .thermo import (
 )
 from .analytics import (
     CorrelationReport,
-    EditEvent,
+    EventTable,
     EvolutionRow,
     PageMetrics,
     PageTimeline,
@@ -71,7 +71,6 @@ from .analytics import (
     monthly_collections,
     page_collections,
     page_reports,
-    page_timelines,
     parse_events,
     pearson,
     read_readership_csv,
@@ -126,7 +125,7 @@ __all__ = [
     "efficiency_vs_alpha_curve",
     "energy_curve",
     # analytics
-    "EditEvent",
+    "EventTable",
     "PageTimeline",
     "PageMetrics",
     "EvolutionRow",
@@ -134,7 +133,6 @@ __all__ = [
     "parse_events",
     "monthly_collections",
     "page_collections",
-    "page_timelines",
     "saturation_filter",
     "pearson",
     "evolution_report",

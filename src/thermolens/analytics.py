@@ -8,15 +8,12 @@ correlates page metrics against an external readership signal.
 
 from __future__ import annotations
 
+import csv
 import math
 import statistics
-from bisect import bisect_left
-from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
-from datetime import datetime, timezone
-from functools import lru_cache
-from typing import Callable, Iterable, Mapping, Sequence, TypeVar
+from itertools import compress, count
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -25,7 +22,7 @@ from .collection import Collection, CsvRows, EnergyModel, Row
 from .errors import DegenerateError, DomainError
 
 __all__ = [
-    "EditEvent",
+    "EventTable",
     "ParseResult",
     "PageTimeline",
     "PageMetrics",
@@ -35,7 +32,6 @@ __all__ = [
     "parse_events",
     "monthly_collections",
     "page_collections",
-    "page_timelines",
     "saturation_filter",
     "saturated_pages",
     "pearson",
@@ -51,110 +47,182 @@ DEFAULT_GROWTH_FRAC = 0.05
 
 EVENT_HEADER = ("ts", "editor", "page")
 
+# Timestamps are epoch seconds from 1970-01-01 to 9999-12-31T23:59:59 UTC.
+MAX_TIMESTAMP = 253_402_300_799
+# A cell of at most this many decimal digits always fits an int64.
+_PLAIN_DIGITS = 18
 
-@dataclass(frozen=True, slots=True)
-class EditEvent:
-    """One edit: who touched which page, at which UTC epoch second."""
 
-    timestamp: int
-    editor_id: str
-    page_id: str
+@dataclass(frozen=True, eq=False)
+class EventTable:
+    """Edits as columns: ``ts`` holds int64 UTC epoch seconds, ``editor`` and
+    ``page`` integer codes into the id tuples ``editors`` and ``pages``, which
+    hold each id that some event uses."""
+
+    ts: np.ndarray
+    editor: np.ndarray
+    page: np.ndarray
+    editors: tuple[str, ...]
+    pages: tuple[str, ...]
+
+    def __len__(self) -> int:
+        return len(self.ts)
 
 
 @dataclass(frozen=True)
 class ParseResult:
-    events: list[EditEvent]
+    events: EventTable
     skipped: int
 
 
 def parse_events(lines: Iterable[str], strict: bool = False) -> ParseResult:
-    """Parse a ``ts,editor,page`` CSV stream into events.
+    """Parse a ``ts,editor,page`` CSV stream into an event table.
 
-    Rows with the wrong arity, empty ids, or unparseable/negative
-    timestamps are skipped and tallied in lenient mode; in strict mode the
-    first such row raises DomainError. Lines starting with ``#`` are
-    comments. The header row is mandatory.
+    Rows with the wrong arity, a field over the csv module's size limit,
+    an id that is empty after stripping, or a timestamp that is not a
+    number in [0, MAX_TIMESTAMP] are skipped and tallied in lenient mode;
+    in strict mode the first such row raises DomainError. Lines starting
+    with ``#`` are comments. The header row is mandatory. Ids are interned
+    in the one pass over the rows; ids and timestamps are checked after it.
     """
     rows = CsvRows(lines, EVENT_HEADER, "event")
-    events: list[EditEvent] = []
-    skipped = 0
-    for row in rows:
-        if not row:
-            continue
-        event = _parse_row(row)
-        if event is None:
+    reader = rows.reader
+    editor_ids: dict[str, int] = {}  # raw id -> code, in order of first appearance
+    page_ids: dict[str, int] = {}
+    cells: list[str] = []
+    editor_codes: list[int] = []
+    page_codes: list[int] = []
+    data_lines: list[int] = []  # strict mode only: reader.line_num of each row
+    skipped = 0  # rows dropped during the pass
+    error = None  # strict mode: the row that stopped the pass
+    while error is None:
+        try:
+            for row in rows:
+                if len(row) == 3:
+                    raw_ts, editor, page = row
+                    cells.append(raw_ts)
+                    editor_codes.append(editor_ids.setdefault(editor, len(editor_ids)))
+                    page_codes.append(page_ids.setdefault(page, len(page_ids)))
+                    if strict:
+                        data_lines.append(reader.line_num)
+                elif row:
+                    if strict:
+                        error = f"line {rows.line}: malformed event row {row!r}"
+                        break
+                    skipped += 1
+            break
+        except csv.Error as exc:  # the reader resumes on the next line
             if strict:
-                raise DomainError(f"line {rows.line}: malformed event row {row!r}")
+                error = f"line {rows.line}: malformed event row: {exc}"
             skipped += 1
-            continue
-        events.append(event)
-    return ParseResult(events=events, skipped=skipped)
+
+    ts = _timestamps(cells)
+    editors, editor = _intern(editor_ids, editor_codes)
+    pages, page = _intern(page_ids, page_codes)
+    keep = (ts >= 0) & (editor >= 0) & (page >= 0)
+    if strict and not keep.all():  # this row comes before any that stopped the pass
+        i = int(np.argmin(keep))
+        row = [cells[i], list(editor_ids)[editor_codes[i]], list(page_ids)[page_codes[i]]]
+        error = f"line {rows.physical_line(data_lines[i])}: malformed event row {row!r}"
+    if error is not None:
+        raise DomainError(error)
+    if not keep.all():
+        ts = ts[keep]
+        editors, editor = _compact(editors, editor[keep])
+        pages, page = _compact(pages, page[keep])
+    table = EventTable(ts, editor, page, tuple(editors), tuple(pages))
+    return ParseResult(events=table, skipped=skipped + len(cells) - len(ts))
 
 
-def _parse_row(row: list[str]) -> EditEvent | None:
-    if len(row) != 3:
-        return None
-    # int() and float() ignore the whitespace around raw_ts themselves.
-    raw_ts, editor, page = row
-    editor = editor.strip()
-    page = page.strip()
-    if not editor or not page:
-        return None
+def _timestamps(cells: list[str]) -> np.ndarray:
+    """Epoch seconds of each cell; -1 where the cell is no timestamp in range.
+
+    Cells of 1 to _PLAIN_DIGITS ASCII digits are read in bulk from one array
+    of all the cells' characters, a digit position at a time; the other
+    cells go through _scalar_timestamp.
+    """
+    lengths = np.fromiter(map(len, cells), np.intp, len(cells))
+    # One byte per character: "?" stands in for a non-ASCII one, so its cell is not plain.
+    chars = np.frombuffer("".join(cells).encode("ascii", "replace"), np.uint8)
+    starts = np.cumsum(lengths) - lengths
+    ts = np.full(len(cells), -1, dtype=np.int64)
+    for width in np.unique(lengths[(lengths > 0) & (lengths <= _PLAIN_DIGITS)]).tolist():
+        rows = np.flatnonzero(lengths == width)
+        pos, value, plain = starts[rows], np.zeros(len(rows), np.int64), np.ones(len(rows), bool)
+        for _ in range(width):
+            digit = chars[pos] - np.uint8(48)  # a non-digit wraps past 9
+            plain &= digit <= 9
+            value = value * 10 + digit
+            pos += 1
+        ts[rows[plain]] = value[plain]
+    other = np.flatnonzero(ts < 0)
+    ts[other] = [_scalar_timestamp(cells[i]) for i in other.tolist()]
+    ts[ts > MAX_TIMESTAMP] = -1
+    return ts
+
+
+def _scalar_timestamp(cell: str) -> int:
+    """int(), else float() truncated toward zero; -1 if neither or out of range."""
     try:
-        ts = int(raw_ts)
+        ts = int(cell)
     except ValueError:
         try:
-            ts_f = float(raw_ts)
-        except ValueError:
-            return None
-        if not math.isfinite(ts_f):
-            return None
-        ts = int(ts_f)
-    if ts < 0:
-        return None
-    return EditEvent(timestamp=ts, editor_id=editor, page_id=page)
+            ts = int(float(cell))
+        except (ValueError, OverflowError):  # not a number, nan, or infinite
+            return -1
+    return ts if 0 <= ts <= MAX_TIMESTAMP else -1
 
 
-@lru_cache(maxsize=65536)
-def _month_of_day(day: int) -> str:
-    dt = datetime.fromtimestamp(day * 86400, tz=timezone.utc)
-    return f"{dt.year:04d}-{dt.month:02d}"
+def _intern(ids: dict[str, int], codes: list[int]) -> tuple[list[str], np.ndarray]:
+    """The distinct stripped ids, and each row's code into them.
+
+    ``ids`` maps each raw id to its code in ``codes``. Raw ids equal after
+    stripping merge; a row whose id strips to nothing gets code -1.
+    """
+    stripped = list(map(str.strip, ids))
+    names = [name for name in dict.fromkeys(stripped) if name]
+    if names == list(ids):  # nothing stripped, merged or empty: the codes stand
+        return names, np.array(codes, dtype=np.intp)
+    index = dict(zip(names, count()))
+    return names, np.array([index.get(name, -1) for name in stripped], dtype=np.intp)[codes]
 
 
-def month_key(timestamp: int) -> str:
-    """UTC calendar month of an epoch-second timestamp, as ``YYYY-MM``."""
-    return _month_of_day(timestamp // 86400)
+def _compact(names: list[str], codes: np.ndarray) -> tuple[list[str], np.ndarray]:
+    """Drop the names no code refers to, renumbering the codes to match."""
+    used = np.bincount(codes, minlength=len(names)) > 0
+    return list(compress(names, used.tolist())), np.cumsum(used)[codes] - 1
 
 
-def _histogram(editor_counts: Mapping[str, int]) -> Collection:
-    return Collection(dict(Counter(editor_counts.values())))
+def _histograms(group: np.ndarray, editor: np.ndarray) -> tuple[list[int], list[Collection]]:
+    """Group keys, ascending, and each group's histogram of per-editor edit counts."""
+    if not len(group):
+        return [], []
+    span = int(editor.max()) + 1
+    pairs, edits = np.unique(group.astype(np.int64) * span + editor, return_counts=True)
+    top = int(edits.max()) + 1
+    bins, holders = np.unique(pairs // span * top + edits, return_counts=True)
+    keys = bins // top
+    starts = np.flatnonzero(np.diff(keys, prepend=-1))
+    bounds, values, holders = [*starts.tolist(), len(bins)], (bins % top).tolist(), holders.tolist()
+    hists = [Collection(dict(zip(values[a:b], holders[a:b]))) for a, b in zip(bounds, bounds[1:])]
+    return keys[starts].tolist(), hists
 
 
-def monthly_collections(events: Iterable[EditEvent]) -> dict[str, Collection]:
+def monthly_collections(events: EventTable) -> dict[str, Collection]:
     """Histogram of per-editor edit counts for each UTC calendar month.
 
     Membership is per month: an editor active in two months contributes an
     individual to each month's collection independently.
     """
-    per_month: dict[str, Counter[str]] = {}
-    for e in events:
-        key = month_key(e.timestamp)
-        bucket = per_month.get(key)
-        if bucket is None:
-            bucket = per_month[key] = Counter()
-        bucket[e.editor_id] += 1
-    return {m: _histogram(per_month[m]) for m in sorted(per_month)}
+    months = events.ts.astype("datetime64[s]").astype("datetime64[M]").astype(np.int64)
+    keys, hists = _histograms(months, events.editor)
+    return dict(zip(np.datetime_as_string(np.array(keys, dtype="datetime64[M]")).tolist(), hists))
 
 
-def page_collections(events: Iterable[EditEvent]) -> dict[str, Collection]:
-    """Histogram of per-editor total edit counts for each page."""
-    per_page: dict[str, Counter[str]] = {}
-    for e in events:
-        bucket = per_page.get(e.page_id)
-        if bucket is None:
-            bucket = per_page[e.page_id] = Counter()
-        bucket[e.editor_id] += 1
-    return {p: _histogram(per_page[p]) for p in sorted(per_page)}
+def page_collections(events: EventTable) -> dict[str, Collection]:
+    """Histogram of per-editor total edit counts for each page, ordered by page id."""
+    keys, hists = _histograms(events.page, events.editor)
+    return dict(sorted(zip((events.pages[k] for k in keys), hists)))
 
 
 @dataclass(frozen=True)
@@ -162,29 +230,11 @@ class PageTimeline:
     """Edit timestamps of one page, ascending; index + 1 is the running count."""
 
     page_id: str
-    timestamps: tuple[int, ...]
-
-    @property
-    def creation_ts(self) -> int:
-        return self.timestamps[0]
-
-    @property
-    def total_edits(self) -> int:
-        return len(self.timestamps)
+    timestamps: Sequence[int]
 
     def edits_since(self, ts: float) -> int:
         """Number of edits at or after the given time."""
-        return len(self.timestamps) - bisect_left(self.timestamps, ts)
-
-
-def page_timelines(events: Iterable[EditEvent]) -> dict[str, PageTimeline]:
-    per_page: dict[str, list[int]] = {}
-    for e in events:
-        per_page.setdefault(e.page_id, []).append(e.timestamp)
-    return {
-        p: PageTimeline(page_id=p, timestamps=tuple(sorted(ts)))
-        for p, ts in sorted(per_page.items())
-    }
+        return len(self.timestamps) - int(np.searchsorted(self.timestamps, ts))
 
 
 def saturation_filter(
@@ -200,21 +250,20 @@ def saturation_filter(
     the final tail_frac of wall-clock time between its creation and the
     analysis horizon must stay below growth_frac of its total.
     """
-    if not timeline.timestamps:
+    total = len(timeline.timestamps)
+    if not total:
         raise DomainError("timeline is empty")
-    creation = timeline.creation_ts
+    creation = int(timeline.timestamps[0])
     if horizon_end < creation:
-        raise DomainError(
-            f"horizon {horizon_end} precedes page creation {creation}"
-        )
-    if timeline.total_edits < min_edits:
+        raise DomainError(f"horizon {horizon_end} precedes page creation {creation}")
+    if total < min_edits:
         return False
     tail_start = horizon_end - tail_frac * (horizon_end - creation)
-    return timeline.edits_since(tail_start) < growth_frac * timeline.total_edits
+    return timeline.edits_since(tail_start) < growth_frac * total
 
 
 def saturated_pages(
-    events: Sequence[EditEvent],
+    events: EventTable,
     horizon_end: int | None = None,
     min_edits: int = DEFAULT_MIN_EDITS,
     tail_frac: float = DEFAULT_TAIL_FRAC,
@@ -223,15 +272,19 @@ def saturated_pages(
     """Ids of the pages that pass saturation_filter at the horizon.
 
     The horizon defaults to the last event timestamp in the corpus; an
-    empty corpus has no pages, saturated or not.
+    empty corpus has no pages, saturated or not. Each timeline is a slice
+    of the events sorted by page, then time. Pages go in id order, so a
+    horizon before several pages' creation names the first of them.
     """
-    if not events:
+    if not len(events):
         return set()
-    horizon = horizon_end if horizon_end is not None else max(e.timestamp for e in events)
+    horizon = horizon_end if horizon_end is not None else int(events.ts.max())
+    order = np.lexsort((events.ts, events.page))
+    timelines = np.split(events.ts[order], np.flatnonzero(np.diff(events.page[order])) + 1)
     return {
-        p
-        for p, timeline in page_timelines(events).items()
-        if saturation_filter(timeline, horizon, min_edits, tail_frac, growth_frac)
+        page
+        for page, stamps in sorted(zip(events.pages, timelines), key=lambda pair: pair[0])
+        if saturation_filter(PageTimeline(page, stamps), horizon, min_edits, tail_frac, growth_frac)
     }
 
 
@@ -276,17 +329,6 @@ class EvolutionRow(Row):
         ("A", "report.free_energy"),
         ("fe_ratio", "report.fe_reduction_ratio"),
     )
-
-
-_T = TypeVar("_T")
-_R = TypeVar("_R")
-
-
-def _map_workers(fn: Callable[[_T], _R], items: Sequence[_T], threads: int) -> list[_R]:
-    if threads <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
 
 
 def evolution_report(
@@ -393,29 +435,24 @@ def _page_metrics(
 
 
 def page_reports(
-    events: Sequence[EditEvent],
+    events: EventTable,
     horizon_end: int | None = None,
     min_edits: int = DEFAULT_MIN_EDITS,
     tail_frac: float = DEFAULT_TAIL_FRAC,
     growth_frac: float = DEFAULT_GROWTH_FRAC,
     model: EnergyModel = EnergyModel.LOGARITHMIC,
     ks_threshold: float = powerlaw.DEFAULT_KS_THRESHOLD,
-    threads: int = 1,
 ) -> list[PageMetrics]:
     """Per-page metrics with saturation and power-law classification flags.
 
     The saturation horizon defaults to the last event timestamp in the
     corpus.
     """
-    colls = page_collections(events)
     saturated = saturated_pages(events, horizon_end, min_edits, tail_frac, growth_frac)
-
-    def build(page_id: str) -> PageMetrics:
-        return _page_metrics(
-            page_id, colls[page_id], model, ks_threshold, page_id in saturated
-        )
-
-    return _map_workers(build, sorted(colls), threads)
+    return [
+        _page_metrics(page_id, coll, model, ks_threshold, page_id in saturated)
+        for page_id, coll in page_collections(events).items()
+    ]
 
 
 # PageMetrics columns correlated against readership and editor count.
@@ -486,7 +523,6 @@ def correlate_pages(
     readership: Mapping[str, int],
     ks_threshold: float = powerlaw.DEFAULT_KS_THRESHOLD,
     model: EnergyModel = EnergyModel.LOGARITHMIC,
-    threads: int = 1,
 ) -> CorrelationReport:
     """Classify pages and correlate their metrics with readership.
 
@@ -498,16 +534,10 @@ def correlate_pages(
     joined = sorted(p for p in pages if p in readership)
     dropped = len(pages) - len(joined)
 
-    def build(page_id: str) -> PageMetrics:
-        return _page_metrics(
-            page_id,
-            pages[page_id],
-            model,
-            ks_threshold,
-            readership=readership[page_id],
-        )
-
-    metrics = _map_workers(build, joined, threads)
+    metrics = [
+        _page_metrics(p, pages[p], model, ks_threshold, readership=readership[p])
+        for p in joined
+    ]
     power = [m for m in metrics if m.is_power_law]
     non_power = [m for m in metrics if not m.is_power_law]
     groups = {

@@ -141,7 +141,7 @@ def cmd_verify_theorem(args) -> None:
     _write_json(args.output, payload)
 
 
-def _read_events(args) -> list[analytics.EditEvent]:
+def _read_events(args) -> analytics.EventTable:
     with open(args.events, encoding="utf-8", newline="") as f:
         parsed = analytics.parse_events(f, strict=args.strict)
     if parsed.skipped:
@@ -165,7 +165,6 @@ def cmd_pages(args) -> None:
         growth_frac=args.growth_frac,
         model=_model(args),
         ks_threshold=args.ks_threshold,
-        threads=args.threads,
     )
     _write_csv(args, analytics.PageMetrics.CSV_HEADER, rows)
 
@@ -180,9 +179,7 @@ def cmd_correlate(args) -> None:
             events, args.horizon, args.min_edits, args.tail_frac, args.growth_frac
         )
         pages = {p: c for p, c in pages.items() if p in saturated}
-    report = analytics.correlate_pages(
-        pages, readership, args.ks_threshold, _model(args), threads=args.threads
-    )
+    report = analytics.correlate_pages(pages, readership, args.ks_threshold, _model(args))
     _write_json(args.output, {"_meta": _meta(args), **report.to_json_dict()})
 
 
@@ -205,12 +202,12 @@ def _add_tol(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_threads(p: argparse.ArgumentParser) -> argparse.Action:
-    return p.add_argument(
+def _add_threads(p: argparse.ArgumentParser) -> None:
+    p.add_argument(
         "--threads",
         type=int,
         default=_env_default("THREADS", 1, int),
-        help="worker threads for per-page computation (default: 1)",
+        help="accepted for compatibility; it changes nothing (default: 1)",
     )
 
 
@@ -332,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_ks_threshold(p).help = (
         "KS threshold; recorded in the output header, but evolve does not use it (default: 0.1)"
     )
-    _add_threads(p).help = "accepted for compatibility; evolve does not use it"
+    _add_threads(p)
     p.set_defaults(func=cmd_evolve)
 
     p = sub.add_parser("pages", help="event CSV -> per-page metrics with flags")

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import csv
 import math
+from bisect import bisect_left
+from itertools import chain, islice
 from collections import Counter
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
@@ -32,6 +34,7 @@ __all__ = [
 ]
 
 _PROB_SUM_TOL = 1e-12
+_CHUNK_LINES = 4096
 
 
 @dataclass(frozen=True)
@@ -118,35 +121,49 @@ class CsvRows:
     """Rows of a CSV text stream whose first non-comment row is a fixed header.
 
     Lines starting with ``#`` are comments. The header is checked on
-    construction; iterating yields the data rows, and ``line`` is the
-    physical line number, comments included, on which the row last
-    yielded ends.
+    construction; iterating yields the data rows. ``reader.line_num``
+    counts the non-comment lines read so far; ``line`` is the physical
+    line number, comments included, on which the row last yielded ends,
+    and ``physical_line`` converts an earlier ``reader.line_num``.
     """
 
     def __init__(self, lines: Iterable[str], header: tuple[str, ...], kind: str) -> None:
-        self._comments = 0
-        self._reader = csv.reader(self._data(lines))
+        self._comments: list[int] = []  # non-comment lines before each comment line
+        self.reader = csv.reader(chain.from_iterable(self._data(lines)))
         expected = ",".join(header)
         try:
-            first = next(self._reader)
+            first = next(self.reader)
         except StopIteration:
             raise DomainError(f"{kind} CSV is empty (missing '{expected}' header)") from None
         if tuple(h.strip() for h in first) != header:
             raise DomainError(f"expected header '{expected}', got {','.join(first)!r}")
 
-    def _data(self, lines: Iterable[str]) -> Iterator[str]:
-        for line in lines:
-            if line.lstrip().startswith("#"):
-                self._comments += 1
-            else:
-                yield line
+    def _data(self, lines: Iterable[str]) -> Iterator[list[str]]:
+        """The non-comment lines, in chunks; only a chunk holding a '#' is split line by line."""
+        lines = iter(lines)
+        seen = 0
+        while chunk := list(islice(lines, _CHUNK_LINES)):
+            if "#" in "".join(chunk):
+                kept = []
+                for line in chunk:
+                    if line.lstrip().startswith("#"):
+                        self._comments.append(seen + len(kept))
+                    else:
+                        kept.append(line)
+                chunk = kept
+            seen += len(chunk)
+            yield chunk
 
     def __iter__(self) -> Iterator[list[str]]:
-        return self._reader
+        return self.reader
 
     @property
     def line(self) -> int:
-        return self._reader.line_num + self._comments
+        return self.physical_line(self.reader.line_num)
+
+    def physical_line(self, data_line: int) -> int:
+        """The physical line number of a ``reader.line_num`` value."""
+        return data_line + bisect_left(self._comments, data_line)
 
 
 def format_cell(x) -> str:

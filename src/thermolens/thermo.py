@@ -112,6 +112,8 @@ class ThermoReport(Row):
     power-law exponent and `free_energy` and `fe_reduction_ratio` are
     theoretical functions of that fit. Fields are None when undefined
     (zero energy, degenerate fit, or exponent too close to 1).
+    `free_energy` evaluates zeta(alpha) when read, so a caller that never
+    reads it (the per-page outputs) never pays for it.
     """
 
     population: int
@@ -120,8 +122,13 @@ class ThermoReport(Row):
     avg_energy: float
     entropy_efficiency: float | None
     alpha: float | None
-    free_energy: float | None
     fe_reduction_ratio: float | None
+
+    @property
+    def free_energy(self) -> float | None:
+        if self.alpha is None or not self.alpha > powerlaw.ALPHA_MIN:
+            return None
+        return theoretical_free_energy(self.alpha)
 
     COLUMNS = (
         ("N", "population"),
@@ -150,10 +157,6 @@ def thermo_report(
     except DegenerateError:
         alpha = None
 
-    a = None
-    if alpha is not None and alpha > powerlaw.ALPHA_MIN:
-        a = theoretical_free_energy(alpha)
-
     ratio = None
     if q is not None and alpha is not None:
         ratio = fe_reduction_ratio(q, alpha)
@@ -165,6 +168,5 @@ def thermo_report(
         avg_energy=e,
         entropy_efficiency=q,
         alpha=alpha,
-        free_energy=a,
         fe_reduction_ratio=ratio,
     )

@@ -7,7 +7,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from thermolens import Collection, from_values, powerlaw
+from thermolens import Collection, EventTable, from_values, powerlaw
 
 MONTH_SPAN = 27 * 86400  # offsets below this stay inside any calendar month
 
@@ -59,6 +59,28 @@ def corpus_lines(
                     f"{base + k},{editor},{page}" for k in range(edits)
                 )
     return lines
+
+
+def event_table(rows: list[tuple[int, str, str]]) -> EventTable:
+    """The event table of ``(ts, editor, page)`` rows, ids taken as given."""
+    ts, editors, pages = zip(*rows) if rows else ((), (), ())
+    editor_names, editor = _codes(editors)
+    page_names, page = _codes(pages)
+    return EventTable(np.array(ts, dtype=np.int64), editor, page, editor_names, page_names)
+
+
+def _codes(ids: tuple[str, ...]) -> tuple[tuple[str, ...], np.ndarray]:
+    names = tuple(sorted(set(ids)))
+    index = {name: code for code, name in enumerate(names)}
+    return names, np.array([index[i] for i in ids], dtype=np.intp)
+
+
+def table_rows(table: EventTable) -> list[tuple[int, str, str]]:
+    """The ``(ts, editor, page)`` rows of an event table, in table order."""
+    return [
+        (ts, table.editors[e], table.pages[p])
+        for ts, e, p in zip(table.ts.tolist(), table.editor.tolist(), table.page.tolist())
+    ]
 
 
 def corpus_event_count(lines: list[str]) -> int:

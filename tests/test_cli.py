@@ -232,6 +232,33 @@ class TestPages:
         assert flags <= {"true", "false"}
 
 
+class TestTimestampDomain:
+    """A timestamp must lie in [0, 253402300799], up to the end of year 9999 UTC."""
+
+    @pytest.mark.parametrize("sub", ["evolve", "pages"])
+    @pytest.mark.parametrize("ts", ["99999999999999", "1e300", "253402300800"])
+    def test_far_future_row_is_a_bad_row(self, sub, ts, tmp_path, capsys):
+        log = tmp_path / "events.csv"
+        log.write_text(f"ts,editor,page\n# note\n1,a,p\n{ts},b,q\n2,c,p\n")
+        out = tmp_path / "out.csv"
+        assert run(sub, "--events", str(log), "--output", str(out)) == 0
+        assert capsys.readouterr().err == "thermolens: skipped 1 malformed event rows\n"
+        rows = out.read_text().splitlines()[2:]
+        assert [row.split(",")[0] for row in rows] == ["1970-01" if sub == "evolve" else "p"]
+        code = run(sub, "--events", str(log), "--output", str(out), "--strict")
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "DomainError: line 4:" in err[0]
+
+    def test_last_second_of_year_9999_is_kept(self, tmp_path):
+        log = tmp_path / "events.csv"
+        log.write_text("ts,editor,page\n253402300799,a,p\n0,a,p\n")
+        out = tmp_path / "out.csv"
+        assert run("evolve", "--events", str(log), "--output", str(out), "--strict") == 0
+        months = [row.split(",")[0] for row in out.read_text().splitlines()[2:]]
+        assert months == ["1970-01", "9999-12"]
+
+
 class TestCorrelate:
     def test_report_json(self, corpus_csv, tmp_path):
         pages_out = tmp_path / "pages.csv"
