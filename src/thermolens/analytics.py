@@ -8,11 +8,11 @@ correlates page metrics against an external readership signal.
 
 from __future__ import annotations
 
-import csv
 import math
 import statistics
 from dataclasses import asdict, dataclass
-from itertools import compress, count
+from itertools import compress
+from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -86,34 +86,26 @@ def parse_events(lines: Iterable[str], strict: bool = False) -> ParseResult:
     in the one pass over the rows; ids and timestamps are checked after it.
     """
     rows = CsvRows(lines, EVENT_HEADER, "event")
-    reader = rows.reader
     editor_ids: dict[str, int] = {}  # raw id -> code, in order of first appearance
     page_ids: dict[str, int] = {}
     cells: list[str] = []
     editor_codes: list[int] = []
     page_codes: list[int] = []
-    data_lines: list[int] = []  # strict mode only: reader.line_num of each row
-    skipped = 0  # rows dropped during the pass
+    data_lines: list[int] = []  # strict mode only: the line of each row
+    skipped = 0  # rows of the wrong arity
     error = None  # strict mode: the row that stopped the pass
-    while error is None:
-        try:
-            for row in rows:
-                if len(row) == 3:
-                    raw_ts, editor, page = row
-                    cells.append(raw_ts)
-                    editor_codes.append(editor_ids.setdefault(editor, len(editor_ids)))
-                    page_codes.append(page_ids.setdefault(page, len(page_ids)))
-                    if strict:
-                        data_lines.append(reader.line_num)
-                elif row:
-                    if strict:
-                        error = f"line {rows.line}: malformed event row {row!r}"
-                        break
-                    skipped += 1
-            break
-        except csv.Error as exc:  # the reader resumes on the next line
+    for row in rows:
+        if len(row) == 3:
+            raw_ts, editor, page = row
+            cells.append(raw_ts)
+            editor_codes.append(editor_ids.setdefault(editor, len(editor_ids)))
+            page_codes.append(page_ids.setdefault(page, len(page_ids)))
             if strict:
-                error = f"line {rows.line}: malformed event row: {exc}"
+                data_lines.append(rows.line)
+        else:
+            if strict:
+                error = f"line {rows.line}: malformed event row {row!r}"
+                break
             skipped += 1
 
     ts = _timestamps(cells)
@@ -123,7 +115,7 @@ def parse_events(lines: Iterable[str], strict: bool = False) -> ParseResult:
     if strict and not keep.all():  # this row comes before any that stopped the pass
         i = int(np.argmin(keep))
         row = [cells[i], list(editor_ids)[editor_codes[i]], list(page_ids)[page_codes[i]]]
-        error = f"line {rows.physical_line(data_lines[i])}: malformed event row {row!r}"
+        error = f"line {data_lines[i]}: malformed event row {row!r}"
     if error is not None:
         raise DomainError(error)
     if not keep.all():
@@ -179,12 +171,9 @@ def _intern(ids: dict[str, int], codes: list[int]) -> tuple[list[str], np.ndarra
     ``ids`` maps each raw id to its code in ``codes``. Raw ids equal after
     stripping merge; a row whose id strips to nothing gets code -1.
     """
-    stripped = list(map(str.strip, ids))
-    names = [name for name in dict.fromkeys(stripped) if name]
-    if names == list(ids):  # nothing stripped, merged or empty: the codes stand
-        return names, np.array(codes, dtype=np.intp)
-    index = dict(zip(names, count()))
-    return names, np.array([index.get(name, -1) for name in stripped], dtype=np.intp)[codes]
+    index = {"": -1}  # stripped id -> code, in order of first appearance
+    per_id = [index.setdefault(name, len(index) - 1) for name in map(str.strip, ids)]
+    return list(index)[1:], np.array(per_id, dtype=np.intp)[codes]
 
 
 def _compact(names: list[str], codes: np.ndarray) -> tuple[list[str], np.ndarray]:
@@ -195,11 +184,9 @@ def _compact(names: list[str], codes: np.ndarray) -> tuple[list[str], np.ndarray
 
 def _histograms(group: np.ndarray, editor: np.ndarray) -> tuple[list[int], list[Collection]]:
     """Group keys, ascending, and each group's histogram of per-editor edit counts."""
-    if not len(group):
-        return [], []
-    span = int(editor.max()) + 1
+    span = int(editor.max(initial=0)) + 1
     pairs, edits = np.unique(group.astype(np.int64) * span + editor, return_counts=True)
-    top = int(edits.max()) + 1
+    top = int(edits.max(initial=0)) + 1
     bins, holders = np.unique(pairs // span * top + edits, return_counts=True)
     keys = bins // top
     starts = np.flatnonzero(np.diff(keys, prepend=-1))
@@ -276,15 +263,16 @@ def saturated_pages(
     of the events sorted by page, then time. Pages go in id order, so a
     horizon before several pages' creation names the first of them.
     """
-    if not len(events):
-        return set()
-    horizon = horizon_end if horizon_end is not None else int(events.ts.max())
+    horizon = horizon_end if horizon_end is not None else int(events.ts.max(initial=0))
     order = np.lexsort((events.ts, events.page))
-    timelines = np.split(events.ts[order], np.flatnonzero(np.diff(events.page[order])) + 1)
+    page = events.page[order]
+    starts = np.flatnonzero(np.diff(page, prepend=-1))
+    names = [events.pages[k] for k in page[starts].tolist()]
+    timelines = sorted(zip(names, np.split(events.ts[order], starts[1:])), key=itemgetter(0))
     return {
-        page
-        for page, stamps in sorted(zip(events.pages, timelines), key=lambda pair: pair[0])
-        if saturation_filter(PageTimeline(page, stamps), horizon, min_edits, tail_frac, growth_frac)
+        name
+        for name, stamps in timelines
+        if saturation_filter(PageTimeline(name, stamps), horizon, min_edits, tail_frac, growth_frac)
     }
 
 
@@ -352,8 +340,6 @@ def read_readership_csv(lines: Iterable[str]) -> dict[str, int]:
     rows = CsvRows(lines, ("page", "clicks"), "readership")
     clicks: dict[str, int] = {}
     for row in rows:
-        if not row:
-            continue
         if len(row) != 2 or not row[0].strip():
             raise DomainError(f"line {rows.line}: malformed readership row {row!r}")
         try:

@@ -202,15 +202,6 @@ def _add_tol(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_threads(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--threads",
-        type=int,
-        default=_env_default("THREADS", 1, int),
-        help="accepted for compatibility; it changes nothing (default: 1)",
-    )
-
-
 def _add_ks_threshold(p: argparse.ArgumentParser) -> argparse.Action:
     return p.add_argument(
         "--ks-threshold",
@@ -227,6 +218,12 @@ def _add_events_input(p: argparse.ArgumentParser) -> None:
         action="store_true",
         default=_env_default("STRICT", False, _bool_env),
         help="fail on the first malformed event row instead of skipping",
+    )
+    p.add_argument(
+        "--threads",
+        type=int,
+        default=_env_default("THREADS", 1, int),
+        help="accepted for compatibility; it changes nothing (default: 1)",
     )
 
 
@@ -329,7 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_ks_threshold(p).help = (
         "KS threshold; recorded in the output header, but evolve does not use it (default: 0.1)"
     )
-    _add_threads(p)
     p.set_defaults(func=cmd_evolve)
 
     p = sub.add_parser("pages", help="event CSV -> per-page metrics with flags")
@@ -338,7 +334,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_saturation(p)
     _add_model(p)
     _add_ks_threshold(p)
-    _add_threads(p)
     p.set_defaults(func=cmd_pages)
 
     p = sub.add_parser("correlate", help="events + readership -> correlation report JSON")
@@ -353,7 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_saturation(p)
     _add_model(p)
     _add_ks_threshold(p)
-    _add_threads(p)
     p.set_defaults(func=cmd_correlate)
 
     return parser

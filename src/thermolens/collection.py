@@ -11,12 +11,12 @@ from __future__ import annotations
 import csv
 import math
 from bisect import bisect_left
-from itertools import chain, islice
 from collections import Counter
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from itertools import chain, islice
 from operator import attrgetter
 from typing import IO, ClassVar, Iterator
 
@@ -34,7 +34,6 @@ __all__ = [
 ]
 
 _PROB_SUM_TOL = 1e-12
-_CHUNK_LINES = 4096
 
 
 @dataclass(frozen=True)
@@ -118,52 +117,53 @@ class Distribution:
 
 
 class CsvRows:
-    """Rows of a CSV text stream whose first non-comment row is a fixed header.
+    """Rows of a CSV text stream whose first row is a fixed header.
 
-    Lines starting with ``#`` are comments. The header is checked on
-    construction; iterating yields the data rows. ``reader.line_num``
-    counts the non-comment lines read so far; ``line`` is the physical
-    line number, comments included, on which the row last yielded ends,
-    and ``physical_line`` converts an earlier ``reader.line_num``.
+    Lines starting with ``#`` are comments, and blank rows are skipped. The
+    header is checked on construction; iterating yields the data rows, and
+    ``line`` is the physical line number of the last non-comment line of
+    the row last yielded. A row the csv module cannot read (a field over
+    its size limit) comes out as the one-cell row ``[reason]``, which every
+    reader rejects by its arity.
     """
 
     def __init__(self, lines: Iterable[str], header: tuple[str, ...], kind: str) -> None:
         self._comments: list[int] = []  # non-comment lines before each comment line
-        self.reader = csv.reader(chain.from_iterable(self._data(lines)))
+        self._reader = csv.reader(chain.from_iterable(self._blocks(lines)))
         expected = ",".join(header)
-        try:
-            first = next(self.reader)
-        except StopIteration:
-            raise DomainError(f"{kind} CSV is empty (missing '{expected}' header)") from None
+        first = next(iter(self), None)
+        if first is None:
+            raise DomainError(f"{kind} CSV is empty (missing '{expected}' header)")
         if tuple(h.strip() for h in first) != header:
             raise DomainError(f"expected header '{expected}', got {','.join(first)!r}")
 
-    def _data(self, lines: Iterable[str]) -> Iterator[list[str]]:
-        """The non-comment lines, in chunks; only a chunk holding a '#' is split line by line."""
-        lines = iter(lines)
-        seen = 0
-        while chunk := list(islice(lines, _CHUNK_LINES)):
-            if "#" in "".join(chunk):
+    def _blocks(self, lines: Iterable[str]) -> Iterator[list[str]]:
+        """The non-comment lines in blocks; only a block holding a '#' is split line by line."""
+        lines, seen = iter(lines), 0
+        while block := list(islice(lines, 4096)):
+            if "#" in "".join(block):
                 kept = []
-                for line in chunk:
+                for line in block:
                     if line.lstrip().startswith("#"):
                         self._comments.append(seen + len(kept))
                     else:
                         kept.append(line)
-                chunk = kept
-            seen += len(chunk)
-            yield chunk
+                block = kept
+            seen += len(block)
+            yield block
 
     def __iter__(self) -> Iterator[list[str]]:
-        return self.reader
+        while True:
+            try:
+                yield from filter(None, self._reader)
+                return
+            except csv.Error as exc:  # the reader resumes on the next line
+                yield [str(exc)]
 
     @property
     def line(self) -> int:
-        return self.physical_line(self.reader.line_num)
-
-    def physical_line(self, data_line: int) -> int:
-        """The physical line number of a ``reader.line_num`` value."""
-        return data_line + bisect_left(self._comments, data_line)
+        data_lines = self._reader.line_num  # the blocks run ahead of the reader
+        return data_lines + bisect_left(self._comments, data_lines)
 
 
 def format_cell(x) -> str:
@@ -268,8 +268,6 @@ def read_collection_csv(stream: Iterable[str]) -> Collection:
     rows = CsvRows(stream, ("value", "count"), "collection")
     tally: Counter[int] = Counter()
     for row in rows:
-        if not row:
-            continue
         if len(row) != 2:
             raise DomainError(f"line {rows.line}: expected 2 fields, got {len(row)}")
         try:

@@ -308,6 +308,46 @@ class TestCorrelate:
         assert payloads[0]["pages_analyzed"] == 0
 
 
+class TestFieldOverCsvLimit:
+    """A field over the csv module's size limit (131072) is a malformed row on its line."""
+
+    BIG = "7" * 200_000
+
+    def test_collection_row_exits_one(self, tmp_path, capsys):
+        src = tmp_path / "coll.csv"
+        src.write_text(f"# note\nvalue,count\n1,{self.BIG}\n")
+        assert run("metrics", "--input", str(src), "--output", str(tmp_path / "m.csv")) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "line 3:" in err[0]
+
+    def test_readership_row_exits_one(self, corpus_csv, tmp_path, capsys):
+        readership = tmp_path / "readers.csv"
+        readership.write_text(f"page,clicks\np0,{self.BIG}\n")
+        assert run(
+            "correlate", "--events", str(corpus_csv), "--readership", str(readership),
+            "--output", str(tmp_path / "corr.json"),
+        ) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "line 2:" in err[0]
+
+    def test_event_row_is_skipped_or_strict_error(self, tmp_path, capsys):
+        log = tmp_path / "events.csv"
+        log.write_text(f"ts,editor,page\n1,a,p\n# note\n2,{self.BIG},p\n3,b,p\n")
+        out = tmp_path / "out.csv"
+        assert run("pages", "--events", str(log), "--output", str(out)) == 0
+        assert capsys.readouterr().err == "thermolens: skipped 1 malformed event rows\n"
+        assert run("pages", "--events", str(log), "--output", str(out), "--strict") == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "line 4:" in err[0] and "field larger" in err[0]
+
+    def test_header_exits_one(self, tmp_path, capsys):
+        log = tmp_path / "events.csv"
+        log.write_text(f"ts,{self.BIG},page\n1,a,p\n")
+        assert run("pages", "--events", str(log), "--output", str(tmp_path / "o.csv")) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "expected header" in err[0]
+
+
 class TestUsageErrors:
     def test_unknown_command(self):
         with pytest.raises(SystemExit) as exc:
