@@ -41,9 +41,8 @@ def main() -> None:
     print(f"support kept: {len(dist_lin.support)} points (deep exponential tail underflows)")
 
     print("\n= Nothing feasible beats the oracle =\n")
-    values = np.array(dist.support, dtype=np.float64)
-    p = np.array([dist.probs[int(v)] for v in values])
-    u = np.log(values)
+    p = dist.p
+    u = np.log(dist.values)
     q_star = float(-(p @ np.log(p)) / (p @ u))
     rng = np.random.default_rng(0)
     ones = np.ones_like(p)

@@ -224,6 +224,11 @@ class PageTimeline:
         return len(self.timestamps) - int(np.searchsorted(self.timestamps, ts))
 
 
+def _check_horizon(horizon_end: int) -> None:
+    if not 0 <= horizon_end <= MAX_TIMESTAMP:
+        raise DomainError(f"horizon {horizon_end} outside [0, {MAX_TIMESTAMP}]")
+
+
 def saturation_filter(
     timeline: PageTimeline,
     horizon_end: int,
@@ -235,8 +240,10 @@ def saturation_filter(
 
     The page must hold at least min_edits edits, and the edits falling in
     the final tail_frac of wall-clock time between its creation and the
-    analysis horizon must stay below growth_frac of its total.
+    analysis horizon must stay below growth_frac of its total. The horizon
+    lies in the timestamp domain [0, MAX_TIMESTAMP].
     """
+    _check_horizon(horizon_end)
     total = len(timeline.timestamps)
     if not total:
         raise DomainError("timeline is empty")
@@ -261,9 +268,11 @@ def saturated_pages(
     The horizon defaults to the last event timestamp in the corpus; an
     empty corpus has no pages, saturated or not. Each timeline is a slice
     of the events sorted by page, then time. Pages go in id order, so a
-    horizon before several pages' creation names the first of them.
+    horizon before several pages' creation names the first of them. A
+    horizon outside [0, MAX_TIMESTAMP] is rejected, also on an empty corpus.
     """
     horizon = horizon_end if horizon_end is not None else int(events.ts.max(initial=0))
+    _check_horizon(horizon)
     order = np.lexsort((events.ts, events.page))
     page = events.page[order]
     starts = np.flatnonzero(np.diff(page, prepend=-1))

@@ -20,6 +20,8 @@ from itertools import chain, islice
 from operator import attrgetter
 from typing import IO, ClassVar, Iterator
 
+import numpy as np
+
 from .errors import DomainError, EmptyCollectionError
 
 __all__ = [
@@ -95,25 +97,48 @@ class Collection:
         return bool(self.counts)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Distribution:
-    """Probability view of a collection: value -> fraction of individuals."""
+    """Probability view of a collection: value -> fraction of individuals.
 
-    probs: Mapping[int, float]
+    Two aligned arrays, ascending int64 `values` and float64 `p`, copied
+    on construction and read-only; the `probs` mapping and the `support`
+    tuple are built on first read. Instances compare by identity.
+    """
+
+    values: np.ndarray
+    p: np.ndarray
 
     def __post_init__(self) -> None:
-        frozen = dict(self.probs)
-        for v, p in frozen.items():
-            if not 0.0 < p <= 1.0:
-                raise DomainError(f"probability out of (0, 1] for value {v}: {p}")
-        total = math.fsum(frozen.values())
+        try:
+            values = np.array(self.values, dtype=np.int64)
+        except OverflowError:
+            raise DomainError("values must fit in a signed 64-bit integer") from None
+        p = np.array(self.p, dtype=np.float64)
+        if values.ndim != 1 or values.shape != p.shape:
+            raise DomainError(f"values and p must be aligned 1-D arrays: {values.shape}, {p.shape}")
+        if (np.diff(values) <= 0).any():
+            raise DomainError("values must be strictly ascending")
+        bad = np.flatnonzero(~((p > 0.0) & (p <= 1.0)))
+        if bad.size:
+            i = bad[0]
+            raise DomainError(f"probability out of (0, 1] for value {values[i]}: {p[i]}")
+        total = math.fsum(p.tolist())
         if abs(total - 1.0) > _PROB_SUM_TOL:
             raise DomainError(f"probabilities sum to {total}, not 1")
-        object.__setattr__(self, "probs", frozen)
+        values.flags.writeable = p.flags.writeable = False
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "p", p)
+
+    @cached_property
+    def probs(self) -> dict[int, float]:
+        """value -> probability, ascending by value."""
+        return dict(zip(self.values.tolist(), self.p.tolist()))
 
     @cached_property
     def support(self) -> tuple[int, ...]:
-        return tuple(sorted(self.probs))
+        """Values, ascending."""
+        return tuple(self.values.tolist())
 
 
 class CsvRows:
@@ -250,7 +275,7 @@ def probabilities(c: Collection) -> Distribution:
     if not c:
         raise EmptyCollectionError("cannot normalize an empty collection")
     n = c.population
-    return Distribution({v: s / n for v, s in c.counts.items()})
+    return Distribution(np.array(c.support), np.array([c.counts[v] / n for v in c.support]))
 
 
 def write_collection_csv(c: Collection, stream: IO[str], header_comment: str | None = None) -> None:

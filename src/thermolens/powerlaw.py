@@ -37,6 +37,8 @@ ALPHA_MIN = 1.0 + 1e-6
 DEFAULT_KS_THRESHOLD = 0.1
 
 _SAMPLE_TABLE_SIZE = 100_000
+# Draws past the table resolved per kernel call; bounds the kernel's temporaries.
+_TAIL_CHUNK = 8192
 _FLOAT_MAX = float(np.finfo(np.float64).max)
 
 # Terms of the Hurwitz series summed directly before the Euler-Maclaurin tail.
@@ -193,9 +195,10 @@ def classify(c: Collection, threshold: float = DEFAULT_KS_THRESHOLD) -> PowerLaw
 def _invert_tail(alpha: float, z: float, u: np.ndarray, lo: int) -> np.ndarray:
     """Smallest integer v > lo with F(v) >= u, for each u beyond F(lo).
 
-    Doubles an upper bound, then bisects, all variates at once. Above 2^53
-    the bounds are the nearest floats, and bisection stops where no float
-    lies between them.
+    Doubles an upper bound, then bisects, _TAIL_CHUNK variates at a time,
+    so memory does not grow with the number of draws. Above 2^53 the
+    bounds are the nearest floats, and bisection stops where no float lies
+    between them.
     """
 
     def cdf(v: np.ndarray) -> np.ndarray:
@@ -203,21 +206,26 @@ def _invert_tail(alpha: float, z: float, u: np.ndarray, lo: int) -> np.ndarray:
 
     if (u > cdf(np.array([_FLOAT_MAX / 2.0]))).any():
         raise DomainError(f"alpha={alpha} is too close to 1: a draw exceeds the float range")
-    lo_v = np.full(u.shape, float(lo))
-    hi_v = 2.0 * lo_v
-    todo = np.flatnonzero(cdf(hi_v) < u)
-    while todo.size:
-        lo_v[todo] = hi_v[todo]
-        hi_v[todo] *= 2.0
-        todo = todo[cdf(hi_v[todo]) < u[todo]]
-    while True:
-        mid = np.floor(lo_v + 0.5 * (hi_v - lo_v))
-        todo = np.flatnonzero((lo_v < mid) & (mid < hi_v))
-        if not todo.size:
-            return hi_v
-        reached = cdf(mid[todo]) >= u[todo]
-        hi_v[todo[reached]] = mid[todo[reached]]
-        lo_v[todo[~reached]] = mid[todo[~reached]]
+    drawn = np.empty_like(u)
+    for start in range(0, u.size, _TAIL_CHUNK):
+        part = u[start : start + _TAIL_CHUNK]
+        lo_v = np.full(part.shape, float(lo))
+        hi_v = 2.0 * lo_v
+        todo = np.flatnonzero(cdf(hi_v) < part)
+        while todo.size:
+            lo_v[todo] = hi_v[todo]
+            hi_v[todo] *= 2.0
+            todo = todo[cdf(hi_v[todo]) < part[todo]]
+        while True:
+            mid = np.floor(lo_v + 0.5 * (hi_v - lo_v))
+            todo = np.flatnonzero((lo_v < mid) & (mid < hi_v))
+            if not todo.size:
+                break
+            reached = cdf(mid[todo]) >= part[todo]
+            hi_v[todo[reached]] = mid[todo[reached]]
+            lo_v[todo[~reached]] = mid[todo[~reached]]
+        drawn[start : start + _TAIL_CHUNK] = hi_v
+    return drawn
 
 
 def sample(alpha: float, n: int, seed: int) -> Collection:

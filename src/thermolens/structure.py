@@ -122,11 +122,12 @@ def theoretical_class_scaling(alpha: float, base: int = 10, n: int = 1) -> Class
     )
 
 
-def _exponential_family(lam: float, u: np.ndarray) -> np.ndarray:
-    logits = -lam * u
-    logits -= logits.max()
-    w = np.exp(logits)
-    return w / w.sum()
+def _exponential_family(lam: float, u: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """exp(-lam * u) normalized to sum 1, computed in place in `out`."""
+    np.multiply(u, -lam, out=out)
+    np.subtract(out, out.max(), out=out)
+    np.exp(out, out=out)
+    return np.divide(out, out.sum(), out=out)
 
 
 def max_entropy_oracle(
@@ -150,15 +151,18 @@ def max_entropy_oracle(
     """
     if support_max < 2:
         raise DomainError(f"support must contain at least 2 points, got {support_max}")
-    values = np.arange(1, support_max + 1, dtype=np.float64)
-    u = np.log(values) if model is EnergyModel.LOGARITHMIC else values
+    u = np.arange(1, support_max + 1, dtype=np.float64)
+    if model is EnergyModel.LOGARITHMIC:
+        np.log(u, out=u)
     if not u[0] < e_target < u[-1]:
         raise DomainError(
             f"target energy {e_target} outside attainable range ({u[0]}, {u[-1]})"
         )
 
+    buf = np.empty_like(u)
+
     def mean_energy(lam: float) -> float:
-        return float(_exponential_family(lam, u) @ u)
+        return float(_exponential_family(lam, u, buf) @ u)
 
     lo, hi = -1.0, 1.0
     while mean_energy(lo) < e_target:
@@ -178,9 +182,9 @@ def max_entropy_oracle(
             f"bisection did not reach tol={tol} in {_BISECT_MAX_ITER} iterations"
         )
     lam = 0.5 * (lo + hi)
-    probs = _exponential_family(lam, u)
+    probs = _exponential_family(lam, u, buf)
     keep = probs >= np.finfo(np.float64).tiny
-    return Distribution({int(v): float(p) for v, p in zip(values[keep], probs[keep])})
+    return Distribution(np.flatnonzero(keep) + 1, probs[keep])
 
 
 @dataclass(frozen=True)
@@ -219,8 +223,8 @@ def stationarity_report(
     model: EnergyModel = EnergyModel.LOGARITHMIC,
 ) -> StationarityReport:
     """Fit ln(p) = -rate*u + const and report the worst-case residual."""
-    values = np.array(dist.support, dtype=np.float64)
-    p = np.array([dist.probs[int(v)] for v in values])
+    values = dist.values.astype(np.float64)
+    p = dist.p
     u = np.log(values) if model is EnergyModel.LOGARITHMIC else values
     logp = np.log(p)
     slope, intercept = np.polyfit(u, logp, 1)

@@ -28,7 +28,7 @@ from thermolens import (
     thermo_report,
 )
 from thermolens import powerlaw, structure
-from thermolens.analytics import PageTimeline
+from thermolens.analytics import MAX_TIMESTAMP, PageTimeline, saturated_pages
 from helpers import (
     corpus_event_count,
     corpus_lines,
@@ -284,6 +284,16 @@ class TestSaturationFilter:
         t = PageTimeline("p", (1000, 2000))
         with pytest.raises(DomainError):
             saturation_filter(t, horizon_end=500)
+
+    @pytest.mark.parametrize(
+        "horizon", [-1, MAX_TIMESTAMP + 1, 10**400], ids=["negative", "year-10000", "401-digits"]
+    )
+    def test_horizon_outside_timestamp_domain(self, horizon):
+        t = PageTimeline("p", (1000, 2000))
+        with pytest.raises(DomainError, match="outside"):
+            saturation_filter(t, horizon_end=horizon, min_edits=1)
+        with pytest.raises(DomainError, match="outside"):
+            saturated_pages(event_table([]), horizon_end=horizon)
 
     def test_monotone_in_growth_frac(self):
         stamps = tuple(sorted(list(range(4700)) + list(range(95_000, 95_300))))

@@ -258,6 +258,33 @@ class TestTimestampDomain:
         months = [row.split(",")[0] for row in out.read_text().splitlines()[2:]]
         assert months == ["1970-01", "9999-12"]
 
+    @pytest.mark.parametrize(
+        "horizon", ["9" * 401, "253402300800", "-1"], ids=["401-digits", "year-10000", "negative"]
+    )
+    @pytest.mark.parametrize("sub", ["pages", "correlate"])
+    def test_horizon_outside_domain_exits_one(self, sub, horizon, tmp_path, capsys):
+        log = tmp_path / "events.csv"
+        log.write_text("ts,editor,page\n1,a,p\n2,b,p\n")
+        args = [sub, "--events", str(log), "--output", str(tmp_path / "out")]
+        if sub == "correlate":
+            readership = tmp_path / "readers.csv"
+            readership.write_text("page,clicks\np,10\n")
+            args += ["--readership", str(readership), "--saturated-only"]
+        assert run(*args, "--min-edits", "1", f"--horizon={horizon}") == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "outside [0, 253402300799]" in err[0]
+
+    @pytest.mark.parametrize("horizon, saturated", [("2", "false"), ("253402300799", "true")])
+    def test_horizon_in_domain_is_used(self, horizon, saturated, tmp_path):
+        log = tmp_path / "events.csv"
+        log.write_text("ts,editor,page\n1,a,p\n2,b,p\n")
+        out = tmp_path / "out.csv"
+        assert run(
+            "pages", "--events", str(log), "--output", str(out), "--min-edits", "1",
+            "--horizon", horizon,
+        ) == 0
+        assert out.read_text().splitlines()[2].split(",")[-1] == saturated
+
 
 class TestCorrelate:
     def test_report_json(self, corpus_csv, tmp_path):

@@ -8,6 +8,7 @@ import pytest
 
 from thermolens import (
     Collection,
+    Distribution,
     DomainError,
     EmptyCollectionError,
     from_values,
@@ -124,6 +125,50 @@ class TestProbabilities:
         for k in (2, 3, 10):
             scaled = Collection({v: k * s for v, s in c.counts.items()})
             assert probabilities(scaled).probs == probabilities(c).probs
+
+
+class TestDistribution:
+    @pytest.mark.parametrize("bad", [0.0, -0.25, 1.5, math.nan])
+    def test_probability_outside_unit_interval_rejected(self, bad):
+        with pytest.raises(DomainError, match=rf"for value 7: {bad}$"):
+            Distribution(np.array([2, 7, 9]), np.array([0.5, bad, 0.5]))
+
+    def test_sum_off_one_rejected(self):
+        Distribution(np.array([1, 2]), np.array([0.5, 0.5 + 5e-13]))
+        with pytest.raises(DomainError, match="sum to"):
+            Distribution(np.array([1, 2]), np.array([0.5, 0.5 + 2e-12]))
+        with pytest.raises(DomainError, match="sum to"):
+            Distribution(np.array([1, 2]), np.array([0.5, 0.5 - 2e-12]))
+
+    def test_values_strictly_ascending_and_aligned(self):
+        with pytest.raises(DomainError, match="ascending"):
+            Distribution(np.array([2, 1]), np.array([0.5, 0.5]))
+        with pytest.raises(DomainError, match="ascending"):
+            Distribution(np.array([1, 1]), np.array([0.5, 0.5]))
+        with pytest.raises(DomainError, match="aligned"):
+            Distribution(np.array([1, 2, 3]), np.array([0.5, 0.5]))
+
+    def test_views_match_arrays(self):
+        dist = probabilities(Collection({9: 1, 1: 2, 4: 1}))
+        assert dist.values.dtype == np.int64 and dist.p.dtype == np.float64
+        assert dist.values.tolist() == [1, 4, 9]
+        assert dist.p.tolist() == [0.5, 0.25, 0.25]
+        assert dist.support == (1, 4, 9)
+        assert list(dist.probs.items()) == list(zip(dist.support, dist.p.tolist()))
+        assert all(type(v) is int and type(p) is float for v, p in dist.probs.items())
+
+    def test_arrays_are_read_only_and_equality_is_identity(self):
+        values, p = np.array([1, 2]), np.array([0.25, 0.75])
+        dist = Distribution(values, p)
+        with pytest.raises(ValueError):
+            dist.p[0] = 0.5
+        p[0] = 0.5  # the caller's array is a separate copy
+        assert dist.p.tolist() == [0.25, 0.75]
+        assert dist != Distribution(values, np.array([0.25, 0.75]))
+
+    def test_values_beyond_int64_rejected(self):
+        with pytest.raises(DomainError, match="64-bit"):
+            probabilities(Collection({1: 1, 2**64: 1}))
 
 
 class TestCsvInterchange:

@@ -2,9 +2,12 @@
 
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from thermolens import (
@@ -175,6 +178,41 @@ class TestMaxEntropyOracle:
             q = float(-(perturbed @ np.log(perturbed))) / e
             assert e == pytest.approx(1.0, abs=1e-9)
             assert q_oracle >= q - 1e-12
+
+
+class TestOracleArrays:
+    def test_peak_memory_at_a_million_points(self):
+        # One value->probability dict entry per support point peaked near
+        # 177 MiB here; the arrays from bisection to report stay near 84 MiB.
+        tracemalloc.start()
+        try:
+            rep = stationarity_report(max_entropy_oracle(2.2, 10**6, LOG), LOG)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.avg_energy == pytest.approx(2.2, abs=1e-8)
+        assert peak < 120 * 2**20
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        model=st.sampled_from([LOG, LIN]),
+        support_max=st.integers(2, 5000),
+        frac=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    )
+    def test_moment_met_and_probabilities_valid(self, model, support_max, frac):
+        u_max = math.log(support_max) if model is LOG else float(support_max)
+        u_min = 0.0 if model is LOG else 1.0
+        target = u_min + frac * (u_max - u_min)
+        assume(u_min < target < u_max)  # frac may round onto a bound
+        dist = max_entropy_oracle(target, support_max, model)
+        values = dist.values.astype(np.float64)
+        u = np.log(values) if model is LOG else values
+        e = float(dist.p @ u)
+        assert (dist.p > 0).all()
+        assert abs(math.fsum(dist.p.tolist()) - 1.0) <= 1e-12
+        # tol = 1e-10 bounds the rate, so E may miss by up to Var(u) * tol / 2.
+        var = float(dist.p @ (u - e) ** 2)
+        assert abs(e - target) <= 1e-6 + 1e-10 * var
 
 
 class TestEfficiencyCurve:
