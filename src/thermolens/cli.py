@@ -197,8 +197,8 @@ def _add_tol(p: argparse.ArgumentParser) -> None:
         "--tol",
         type=float,
         default=_env_default("TOL", 1e-10, float),
-        help="bisection tolerance of verify-theorem's max-entropy oracle; other "
-        "subcommands record it but do not use it (default: 1e-10)",
+        help="bisection tolerance of verify-theorem's max-entropy oracle, in (0, 1); "
+        "other subcommands record it but do not use it (default: 1e-10)",
     )
 
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import math
-from bisect import bisect_left
 from collections import Counter
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
@@ -141,54 +140,94 @@ class Distribution:
         return tuple(self.values.tolist())
 
 
+_BLOCK_LINES = 4096
+
+
 class CsvRows:
     """Rows of a CSV text stream whose first row is a fixed header.
 
-    Lines starting with ``#`` are comments, and blank rows are skipped. The
-    header is checked on construction; iterating yields the data rows, and
-    ``line`` is the physical line number of the last non-comment line of
+    A line whose first non-blank character is ``#`` is a comment where a
+    record would start; inside a quoted field it is data. Blank rows are
+    skipped. The header is checked on construction; iterating yields the
+    data rows, and ``line`` is the physical line number of the last line of
     the row last yielded. A row the csv module cannot read (a field over
     its size limit) comes out as the one-cell row ``[reason]``, which every
     reader rejects by its arity.
+
+    Lines go to the csv module in blocks, through one reader per run of
+    blocks. A run of plain blocks, with no ``#`` and no ``"``, has no record
+    that spans lines, so it ends on a record boundary without tracking one.
+    Any other run records where each row ends, feeds a block holding a ``#``
+    line by line to tell comments from data, and ends where a block
+    boundary is a record boundary and the next block is plain.
     """
 
     def __init__(self, lines: Iterable[str], header: tuple[str, ...], kind: str) -> None:
-        self._comments: list[int] = []  # non-comment lines before each comment line
-        self._reader = csv.reader(chain.from_iterable(self._blocks(lines)))
+        self._lines = iter(lines)
+        self._next_block()
+        self._reader = csv.reader(())
+        self._offset = 0  # lines before the current reader's, and the comments it skipped
+        self._row_end = 0  # the current reader's line_num after its last row
+        self._rows = self._read()
         expected = ",".join(header)
-        first = next(iter(self), None)
+        first = next(self._rows, None)
         if first is None:
             raise DomainError(f"{kind} CSV is empty (missing '{expected}' header)")
         if tuple(h.strip() for h in first) != header:
             raise DomainError(f"expected header '{expected}', got {','.join(first)!r}")
 
-    def _blocks(self, lines: Iterable[str]) -> Iterator[list[str]]:
-        """The non-comment lines in blocks; only a block holding a '#' is split line by line."""
-        lines, seen = iter(lines), 0
-        while block := list(islice(lines, 4096)):
-            if "#" in "".join(block):
-                kept = []
-                for line in block:
-                    if line.lstrip().startswith("#"):
-                        self._comments.append(seen + len(kept))
-                    else:
-                        kept.append(line)
-                block = kept
-            seen += len(block)
-            yield block
-
     def __iter__(self) -> Iterator[list[str]]:
+        return self._rows
+
+    def _next_block(self) -> None:
+        self._block = list(islice(self._lines, _BLOCK_LINES))
+        text = "".join(self._block)
+        self._hash, self._plain = "#" in text, "#" not in text and '"' not in text
+
+    def _read(self) -> Iterator[list[str]]:
+        while self._block:
+            tracked = not self._plain
+            self._row_end = 0
+            self._reader = csv.reader(chain.from_iterable(self._run(tracked)))
+            while True:
+                try:
+                    if tracked:
+                        for row in self._reader:
+                            self._row_end = self._reader.line_num
+                            if row:
+                                yield row
+                    else:
+                        yield from filter(None, self._reader)
+                    break
+                except csv.Error as exc:  # the reader resumes on the next line
+                    self._row_end = self._reader.line_num
+                    yield [str(exc)]
+            self._offset += self._reader.line_num
+
+    def _run(self, tracked: bool) -> Iterator[Iterable[str]]:
+        reader = self._reader
         while True:
-            try:
-                yield from filter(None, self._reader)
+            yield self._uncommented(self._block) if self._hash else self._block
+            self._next_block()
+            if not self._block:
                 return
-            except csv.Error as exc:  # the reader resumes on the next line
-                yield [str(exc)]
+            if tracked:  # back to plain blocks, once the reader is between records
+                if self._plain and reader.line_num == self._row_end:
+                    return
+            elif not self._plain:
+                return
+
+    def _uncommented(self, block: list[str]) -> Iterator[str]:
+        reader = self._reader
+        for line in block:
+            if reader.line_num == self._row_end and line.lstrip().startswith("#"):
+                self._offset += 1
+            else:
+                yield line
 
     @property
     def line(self) -> int:
-        data_lines = self._reader.line_num  # the blocks run ahead of the reader
-        return data_lines + bisect_left(self._comments, data_lines)
+        return self._offset + self._reader.line_num
 
 
 def format_cell(x) -> str:

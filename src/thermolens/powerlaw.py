@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from itertools import chain
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -40,6 +41,8 @@ _SAMPLE_TABLE_SIZE = 100_000
 # Draws past the table resolved per kernel call; bounds the kernel's temporaries.
 _TAIL_CHUNK = 8192
 _FLOAT_MAX = float(np.finfo(np.float64).max)
+_TINY = float(np.finfo(np.float64).tiny)
+_EPS = 2.0**-53  # unit roundoff
 
 # Terms of the Hurwitz series summed directly before the Euler-Maclaurin tail.
 _HEAD = 10
@@ -83,6 +86,108 @@ def _hurwitz(alpha: float, q: np.ndarray) -> np.ndarray:
     rising = np.cumprod(factors, axis=0)[::2]
     tail = a ** (1.0 - alpha) / (alpha - 1.0) + 0.5 * a_pow + _EM_COEFFS @ rising
     return head + tail
+
+
+def _psi(w: float) -> float:
+    """(1 - e^-w)/w = ∫_0^1 e^(-w r) dr for w >= 0."""
+    return -math.expm1(-w) / w if w > 0.0 else 1.0
+
+
+def _chi(w: float) -> float:
+    """(1 - e^-w (1 + w))/w² = ∫_0^1 r e^(-w r) dr for w >= 0; a series below 1."""
+    if w >= 1.0:
+        return (-math.expm1(-w) - w * math.exp(-w)) / (w * w)
+    term, total = 1.0, 0.5
+    for k in range(1, 18):
+        term *= -w / k
+        total += term / (k + 2)
+    return total
+
+
+def _power_sums(s: float, n: int, centre: float = 0.0) -> tuple[float, float, float, float, float]:
+    """Σ v^s and Σ (ln v - centre) · v^s over v = 1..n, with error bounds.
+
+    Returns (sum0, sum1, err0, err1, log_scale): the sums are
+    (sum0 ± err0) · e^log_scale and (sum1 ± err1) · e^log_scale, where
+    e^log_scale = max(1, n^s) is the largest term, so no power overflows
+    for either sign of s. Below 2·_HEAD terms the sums are direct. Above,
+    v < _HEAD and v > b are summed directly and a = _HEAD..b by Euler-Maclaurin
+    with the _EM_COEFFS of _hurwitz, for f(x) = x^s and its s-derivative
+    g(x) = ln x · x^s (Johansson, arXiv:1309.2877):
+    - the integrals ∫ x^s and ∫ (ln x - centre) x^s, written around the
+      dominant endpoint through _psi and _chi so that nothing cancels at
+      s = -1;
+    - the half endpoint terms;
+    - B_2j/(2j)! · (f^(2j-1)(b) - f^(2j-1)(a)), j <= 10, where
+      f^(k) = P_k(s) x^(s-k) and g^(k) = (P_k(s) ln x + P_k'(s)) x^(s-k)
+      for P_k(s) = s(s-1)...(s-k+1), built as running products.
+    The remainder is below |B_20|/20! · ∫|g^(20) - centre f^(20)|. Since
+    |P_20(s)| and |P_20'(s)| are at most Q = (σ+1)(σ+2)...(σ+20) with
+    σ = |s|, it is at most |B_20|/20! · Q · (1 + ln b + |centre|) ·
+    max(a^t, b^t) · min(ln(b/a), 1/|t|), with t = s - 19.
+
+    Each piece is a rounded power times a few factors. The power carries a
+    relative error below ε(8 + 8(|s|+1) ln n), ε = _EPS, from the rounding
+    of s · ln v, which grows with |s| ln n; the factors and the sums add
+    at most 504 ε more. A centre near the mean of ln v keeps that error
+    small in sum1 where the mass sits near ln v = centre; the rounding of
+    ln v itself, 4 ε |ln v| per piece, is bounded apart.
+    """
+    log_n = math.log(n)
+    log_scale = max(0.0, s * log_n)
+    # The corrections at the top shrink like ((s + 20)/(2π n))^2j; above s = n/2
+    # the top terms are summed directly down to where (v/n)^s < e^-46.
+    top = n if s <= 0.5 * n else max(n - math.ceil(46.0 * n / s), 0)
+    direct = range(1, n + 1) if top < 2 * _HEAD else chain(range(1, _HEAD), range(top + 1, n + 1))
+    # mags1 bounds the pieces of sum1 for their relative error, logs1 the
+    # pieces times the rounding of ln x, which centring does not remove.
+    pieces0, pieces1, mags1, logs1 = [], [], [], []
+    for v in direct:
+        log_v = math.log(v)
+        term = math.exp(s * log_v - log_scale)
+        pieces0.append(term)
+        pieces1.append((log_v - centre) * term)
+        logs1.append(log_v * term)
+    mags1.extend(map(abs, pieces1))
+    remainder = 0.0
+    if top >= 2 * _HEAD:
+        a, b = float(_HEAD), float(top)
+        log_a, log_b = math.log(a), math.log(b)
+        span = math.log1p((b - a) / a)
+        t = s + 1.0
+        log_d = log_b if t >= 0.0 else log_a
+        scale = math.exp(t * log_d - log_scale) * span
+        w = abs(t) * span
+        psi, chi = _psi(w), _chi(w)
+        sign = -1.0 if t >= 0.0 else 1.0
+        pieces0.append(scale * psi)
+        pieces1.append(scale * ((log_d - centre) * psi + sign * span * chi))
+        mags1.append(scale * (abs(log_d - centre) * psi + span * chi))
+        logs1.append(scale * log_d * psi)
+        for x, log_x, side in ((a, log_a, -1.0), (b, log_b, 1.0)):
+            f = math.exp(s * log_x - log_scale)
+            pieces0.append(0.5 * f)
+            pieces1.append(0.5 * (log_x - centre) * f)
+            mags1.append(abs(pieces1[-1]))
+            logs1.append(0.5 * log_x * f)
+            g = g_mag = 0.0
+            for k, coeff in enumerate(np.repeat(_EM_COEFFS, 2).tolist()):
+                g, g_mag = (g * (s - k) + f) / x, (g_mag * abs(s - k) + abs(f)) / x
+                f *= (s - k) / x
+                if k % 2 == 0:  # odd derivative k + 1
+                    pieces0.append(side * coeff * f)
+                    pieces1.append(side * coeff * ((log_x - centre) * f + g))
+                    mags1.append(abs(coeff) * (abs(log_x - centre) * abs(f) + g_mag))
+                    logs1.append(abs(coeff) * log_x * abs(f))
+        t = s - 19.0
+        log_q = math.fsum(math.log(abs(s) + j) for j in range(1, 21))
+        log_r = math.log(abs(_EM_COEFFS[-1])) + log_q + max(t * log_a, t * log_b) - log_scale
+        width = min(span, 1.0 / abs(t)) if t else span
+        remainder = math.exp(min(log_r, 700.0)) * (1.0 + log_b + abs(centre)) * width
+    rel = _EPS * (512.0 + 8.0 * (abs(s) + 1.0) * log_n)
+    err0 = rel * math.fsum(map(abs, pieces0)) + remainder + _TINY
+    err1 = rel * math.fsum(mags1) + 4.0 * _EPS * math.fsum(logs1) + remainder + _TINY
+    return math.fsum(pieces0), math.fsum(pieces1), err0, err1, log_scale
 
 
 def zeta(alpha: float) -> float:

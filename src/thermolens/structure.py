@@ -18,7 +18,7 @@ import numpy as np
 
 from .collection import Collection, Distribution, EnergyModel, Row, format_cell
 from .errors import ConvergenceError, DomainError, EmptyCollectionError
-from .powerlaw import ALPHA_MIN
+from .powerlaw import _EPS, ALPHA_MIN, _power_sums
 from .thermo import theoretical_energy, theoretical_free_energy
 
 __all__ = [
@@ -130,6 +130,73 @@ def _exponential_family(lam: float, u: np.ndarray, out: np.ndarray) -> np.ndarra
     return np.divide(out, out.sum(), out=out)
 
 
+def _linear_mean_energy(lam: float, n: int) -> tuple[float, float]:
+    """E(lam) = Σ v e^(-lam v) / Σ e^(-lam v) over 1..n, and an error bound.
+
+    For lam > 0 the geometric sums give E = -1/expm1(-lam) - n/expm1(lam n);
+    E(-lam) = n + 1 - E(lam) by the reflection v -> n + 1 - v. Near lam = 0
+    or lam·n = 0 the two terms nearly cancel, and the bound, which scales
+    with each term, grows to match.
+    """
+    if lam == 0.0:
+        return 0.5 * (n + 1), 0.0
+    x = abs(lam)
+    head = -1.0 / math.expm1(-x)
+    if x * n < 700.0:
+        tail, tail_err = n / math.expm1(x * n), 0.0
+    else:  # n e^(-x n) is below the rounding of everything else
+        tail, tail_err = 0.0, 2.0 * n * math.exp(-700.0)
+    e = head - tail
+    # expm1 and the division: 3 eps each; the rounding of x·n: eps (1 + x n).
+    err = _EPS * (8.0 * head + (8.0 + 2.0 * x * n) * tail + 2.0 * abs(e)) + tail_err
+    if lam < 0.0:
+        e = (n + 1) - e
+        err += 2.0 * _EPS * abs(e)
+    return e, err
+
+
+def _log_mean_energy(lam: float, n: int) -> tuple[float, float]:
+    """E(lam) = Σ ln v · v^-lam / Σ v^-lam over 1..n, and an error bound.
+
+    The log moment is centred on ln n when the mass leans to the top of the
+    support (lam < 0), where the mean sits close to ln n.
+    """
+    centre = math.log(n) if lam < 0.0 else 0.0
+    sum0, sum1, err0, err1, _ = _power_sums(-lam, n, centre)
+    if not sum0 > err0:
+        return math.nan, math.inf
+    shift = sum1 / sum0
+    e = centre + shift
+    return e, (err1 + abs(shift) * err0) / (sum0 - err0) + 2.0 * _EPS * (abs(shift) + abs(e))
+
+
+_CLOSED_FORMS = {
+    EnergyModel.LINEAR: _linear_mean_energy,
+    EnergyModel.LOGARITHMIC: _log_mean_energy,
+}
+
+
+def _direct_error(lam: float, e: float, err: float, u_lo: float, u_hi: float, n: int) -> float:
+    """Bound on |direct mean energy - E(lam)| for the O(n) pass of max_entropy_oracle.
+
+    The pass computes u = fl(ln v) (4 ulp, so 8 eps relative) or u = v, then
+    exp(-lam u - max) (4 ulp), a sum, a division and a dot product. Each
+    weight is off by a relative eta <= (11 |lam| u_hi + 8) eps, from the
+    rounded exponent and the exp; the max is one common shift and cancels.
+    Such weights move the mean by at most eta/(1-eta) · Σ p |u - E|, and
+    Σ p |u - E| <= 2 min(E - u_lo, u_hi - E). The sum and the dot product,
+    of n non-negative terms in any order, add (n-1) eps each, relative. The
+    weights that underflow carry at most u_hi · 2^-1074 each.
+    """
+    eta = 1.01 * _EPS * (11.0 * abs(lam) * u_hi + 8.0)
+    if not eta < 0.5:
+        return math.inf
+    mad = 2.0 * (max(0.0, min(e - u_lo, u_hi - e)) + err + _EPS * u_hi)
+    spread = eta / (1.0 - eta) * mad
+    sums = 1.01 * _EPS * (2.0 * n + 10.0) * (abs(e) + err + spread)
+    return spread + sums + n * u_hi * 2.0**-1072
+
+
 def max_entropy_oracle(
     e_target: float,
     support_max: int,
@@ -142,26 +209,56 @@ def max_entropy_oracle(
     exp(-lambda * u(v)): a truncated power law for the logarithmic energy
     model, an exponential (Boltzmann) law for the linear one. The rate
     lambda is found by bisection on the mean energy, which is strictly
-    decreasing in lambda. The target must lie strictly between the
-    smallest and largest attainable energy on the support.
+    decreasing in lambda, until the bracket is at most `tol` wide. The
+    target must lie strictly between the smallest and largest attainable
+    energy on the support, and `tol` must lie in (0, 1).
+
+    `tol` bounds the rate, not the energy: the returned distribution may
+    miss the target energy by about Var(u) * tol / 2. On a wide linear
+    support that is visible, e.g. E is off by 1.93 for
+    max_entropy_oracle(500000.0, 10**6, LINEAR).
+
+    Each bisection step only needs the side of the target on which the
+    mean energy of the O(V) pass lies. It is decided in O(1) from a closed
+    form with a certified error band, and the O(V) pass runs only for a
+    step the band cannot decide, so lambda is the float the O(V) pass alone
+    would give:
+    - linear: E = -1/expm1(-lambda) - V/expm1(lambda V), reflected as
+      E(-lambda) = V + 1 - E(lambda), and (V + 1)/2 at lambda = 0;
+    - logarithmic: E = Σ ln v · v^-lambda / Σ v^-lambda by the head-plus-
+      Euler-Maclaurin sums of powerlaw._power_sums.
+    The band adds the closed form's bound (rounding, cancellation near
+    lambda = 0 or lambda V = 0, the Euler-Maclaurin remainder) to a bound on
+    the rounding of the O(V) pass (_direct_error). A step whose closed form
+    lies within the band of the target, or is not finite, takes the O(V)
+    pass. Only those steps and the final distribution are O(V).
 
     Support points whose probability underflows below the smallest normal
     float are omitted from the returned distribution; they carry no
     representable mass and would corrupt log-domain diagnostics.
     """
+    if not 0.0 < tol < 1.0:
+        raise DomainError(f"bisection tolerance must lie in (0, 1), got {tol}")
     if support_max < 2:
         raise DomainError(f"support must contain at least 2 points, got {support_max}")
     u = np.arange(1, support_max + 1, dtype=np.float64)
     if model is EnergyModel.LOGARITHMIC:
         np.log(u, out=u)
-    if not u[0] < e_target < u[-1]:
+    u_lo, u_hi = float(u[0]), float(u[-1])
+    if not u_lo < e_target < u_hi:
         raise DomainError(
             f"target energy {e_target} outside attainable range ({u[0]}, {u[-1]})"
         )
 
     buf = np.empty_like(u)
+    closed_form = _CLOSED_FORMS[model]
 
     def mean_energy(lam: float) -> float:
+        """The O(V) pass's mean energy, or a value on the same side of e_target."""
+        e, err = closed_form(lam, support_max)
+        band = err + _direct_error(lam, e, err, u_lo, u_hi, support_max)
+        if math.isfinite(e) and abs(e - e_target) > band:
+            return e
         return float(_exponential_family(lam, u, buf) @ u)
 
     lo, hi = -1.0, 1.0

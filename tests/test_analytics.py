@@ -5,6 +5,7 @@ import io
 import math
 import tracemalloc
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from thermolens import (
     saturation_filter,
     thermo_report,
 )
-from thermolens import powerlaw, structure
+from thermolens import collection, powerlaw, structure
 from thermolens.analytics import MAX_TIMESTAMP, PageTimeline, saturated_pages
 from helpers import (
     corpus_event_count,
@@ -126,21 +127,26 @@ class TestParseEvents:
 def _reference_parse(lines: list[str], strict: bool = False):
     """The rules of parse_events restated row by row on the csv module.
 
-    A row's line is the physical line of its last non-comment line.
+    A line starting with '#' (after blanks) is a comment only where a record
+    would start, that is, where the reader has finished every line it was
+    given. A row's line is the physical line of its last line.
     """
-    physical = 0
+    physical = row_end = 0
 
     def data():
         nonlocal physical
         for number, line in enumerate(lines, start=1):
-            if not line.lstrip().startswith("#"):
-                physical = number
-                yield line
+            if reader.line_num == row_end and line.lstrip().startswith("#"):
+                continue
+            physical = number
+            yield line
 
     reader = csv.reader(data())
     next(reader)  # the header
+    row_end = reader.line_num
     events, skipped = [], 0
     for row in reader:
+        row_end = reader.line_num
         if not row:
             continue
         event = _reference_event(row)
@@ -206,6 +212,18 @@ def _render(items: list[tuple[list[str] | str, str]]) -> list[str]:
     return list(io.StringIO(out.getvalue(), newline=""))
 
 
+def _assert_matches_reference(lines: list[str], strict: bool) -> None:
+    try:
+        want = _reference_parse(lines, strict)
+    except DomainError as exc:
+        with pytest.raises(DomainError) as got:
+            parse_events(lines, strict)
+        assert str(got.value) == str(exc)
+        return
+    parsed = parse_events(lines, strict)
+    assert (table_rows(parsed.events), parsed.skipped) == want
+
+
 class TestParserMatchesReference:
     @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(
@@ -213,16 +231,19 @@ class TestParserMatchesReference:
         st.booleans(),
     )
     def test_rows_skips_and_strict_lines(self, items, strict):
-        lines = _render(items)
-        try:
-            want = _reference_parse(lines, strict)
-        except DomainError as exc:
-            with pytest.raises(DomainError) as got:
-                parse_events(lines, strict)
-            assert str(got.value) == str(exc)
-            return
-        parsed = parse_events(lines, strict)
-        assert (table_rows(parsed.events), parsed.skipped) == want
+        _assert_matches_reference(_render(items), strict)
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        st.lists(st.tuples(_ROWS, st.sampled_from(["\n", "\r\n"])), max_size=12),
+        st.booleans(),
+        st.integers(1, 4),
+    )
+    def test_short_blocks(self, items, strict, block_lines):
+        # Blocks of a few lines make runs switch between the whole-block and
+        # the tracked readers at every kind of line and record boundary.
+        with mock.patch.object(collection, "_BLOCK_LINES", block_lines):
+            _assert_matches_reference(_render(items), strict)
 
 
 class TestMonthlyCollections:

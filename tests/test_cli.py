@@ -190,6 +190,17 @@ class TestVerifyTheorem:
             "--output", str(tmp_path / "v.json"),
         ) == 1
 
+    @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf", "1e300"])
+    def test_bad_tolerance_exits_one(self, tmp_path, capsys, tol):
+        out = tmp_path / "v.json"
+        assert run(
+            "verify-theorem", "--e-target", "2.0", "--support-max", "1000",
+            "--tol", tol, "--output", str(out),
+        ) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "tolerance" in err[0]
+        assert not out.exists()
+
 
 class TestEvolve:
     def test_series_and_determinism_across_threads(self, corpus_csv, tmp_path):

@@ -1,7 +1,9 @@
 """Histogram construction, merging, probability views, and CSV interchange."""
 
+import csv
 import io
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,6 +19,8 @@ from thermolens import (
     read_collection_csv,
     write_collection_csv,
 )
+from thermolens import collection
+from thermolens.collection import CsvRows
 
 
 class TestFromValues:
@@ -197,3 +201,47 @@ class TestCsvInterchange:
             read_collection_csv(io.StringIO("value,count\na,2\n"))
         with pytest.raises(DomainError, match="^line 5:"):
             read_collection_csv(io.StringIO("# a\nvalue,count\n# b\n1,2\n1,2,3\n"))
+
+
+class TestCsvRows:
+    def test_hash_line_inside_a_quoted_field_is_data(self):
+        lines = ["ts,editor,page\n", '1,"a\n', '#b",p\n', "2,c,p\n"]
+        rows = CsvRows(lines, ("ts", "editor", "page"), "event")
+        got = []
+        for row in rows:
+            got.append((row, rows.line))
+        assert got == [(["1", "a\n#b", "p"], 3), (["2", "c", "p"], 4)]
+        assert got == [(r, i) for r, i in zip(csv.reader(lines[1:]), (3, 4))]
+
+    def test_hash_line_at_a_record_start_is_a_comment(self):
+        lines = ["# a\n", "ts,editor,page\n", '1,"x",p\n', "  # b\n", "\n", "# c\n", "2,c,p\n"]
+        rows = CsvRows(lines, ("ts", "editor", "page"), "event")
+        got = [(row, rows.line) for row in rows]
+        assert got == [(["1", "x", "p"], 3), (["2", "c", "p"], 7)]
+
+    @pytest.mark.parametrize("block_lines", [1, 2, 3, 4096])
+    def test_quoted_field_across_blocks(self, block_lines):
+        # The field's middle lines hold no quote: a run may end only between records.
+        lines = [
+            "ts,editor,page\n", '1,"a\n', "plain\n", "# data\n", "\n", 'b",p\n',
+            "# comment\n", "2,c,p\n", "3,d,p\n", '4,"e\n', 'f",p\n', "5,g,p\n",
+        ]
+        with mock.patch.object(collection, "_BLOCK_LINES", block_lines):
+            rows = CsvRows(lines, ("ts", "editor", "page"), "event")
+            got = [(row, rows.line) for row in rows]
+        assert got == [
+            (["1", "a\nplain\n# data\n\nb", "p"], 6),
+            (["2", "c", "p"], 8),
+            (["3", "d", "p"], 9),
+            (["4", "e\nf", "p"], 11),
+            (["5", "g", "p"], 12),
+        ]
+
+    def test_comment_after_an_unreadable_row(self):
+        long_cell = "x" * (csv.field_size_limit() + 1)
+        lines = ["ts,editor,page\n", f"1,{long_cell},p\n", "# comment\n", "2,c,p\n"]
+        rows = CsvRows(lines, ("ts", "editor", "page"), "event")
+        got = [(row, rows.line) for row in rows]
+        assert [len(row) for row, _ in got] == [1, 3]
+        assert "field larger than field limit" in got[0][0][0]
+        assert got[1] == (["2", "c", "p"], 4)

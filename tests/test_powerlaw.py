@@ -67,6 +67,59 @@ class TestHurwitzKernel:
             assert got[0] == pytest.approx(1.0, abs=1e-14)
 
 
+def _mp_power_sums(s: float, n: int, centre: float):
+    """Σ v^s and Σ (ln v - centre) v^s over 1..n at 30 digits, by mpmath.
+
+    Term by term up to n = 2000. Beyond: for s > 50 the top 90 n/s terms,
+    since the rest add under n e^-90 relative; for a whole s >= 0, Hurwitz
+    zeta differences ζ(-s) - ζ(-s, n+1) and their s-derivatives; otherwise
+    199 terms plus mpmath's own Euler-Maclaurin sum.
+    """
+    s, centre = mpmath.mpf(s), mpmath.mpf(centre)
+    f0 = lambda x: mpmath.power(x, s)
+    f1 = lambda x: (mpmath.log(x) - centre) * mpmath.power(x, s)
+    if n <= 2000 or s > 50:
+        lo = 1 if s <= 50 else max(1, n - math.ceil(90 * n / s))
+        return tuple(mpmath.fsum(f(v) for v in range(lo, n + 1)) for f in (f0, f1))
+    if s >= 0 and s == int(s):
+        sum0 = mpmath.zeta(-s) - mpmath.zeta(-s, n + 1)
+        log_sum = mpmath.zeta(-s, n + 1, 1) - mpmath.zeta(-s, 1, 1)
+        return sum0, log_sum - centre * sum0
+    return tuple(
+        mpmath.fsum(f(v) for v in range(1, 200)) + mpmath.sumem(f, [200, n]) for f in (f0, f1)
+    )
+
+
+POWER_SUM_NS = (2, 3, 19, 20, 21, 40, 1000, 10**5, 10**6)
+# Both signs, s = -1 where the integral is a logarithm, s·ln n near 0, and
+# a large s, above n/2 (top terms summed directly) where n <= 1400.
+POWER_SUM_SS = (-1.0, -1.0 - 1e-9, -1e-13, 0.0, 1e-13, -0.5, 0.5, -2.2, 3.3, -40.0, 20.0)
+
+
+class TestPowerSums:
+    @pytest.mark.parametrize("n", POWER_SUM_NS)
+    def test_matches_mpmath_within_the_stated_bound(self, n):
+        with mpmath.workdps(30):
+            for s in (*POWER_SUM_SS, max(700.0, n / 20)):
+                for centre in (0.0, math.log(n)):
+                    sum0, sum1, err0, err1, log_scale = pl._power_sums(s, n, centre)
+                    exact0, exact1 = _mp_power_sums(s, n, centre)
+                    scale = mpmath.exp(log_scale)
+                    assert abs(mpmath.mpf(sum0) - exact0 / scale) <= err0, (s, centre)
+                    assert abs(mpmath.mpf(sum1) - exact1 / scale) <= err1, (s, centre)
+                    # The Euler-Maclaurin remainder stays below the stated rounding.
+                    rounding = 2**-53 * (512 + 8 * (abs(s) + 1) * math.log(n))
+                    assert err0 <= 2 * rounding * sum0, (s, centre)
+                    assert err1 <= 2 * rounding * (abs(sum1) + math.log(n) * sum0), (s, centre)
+
+    def test_scaled_by_the_largest_term(self):
+        # n^s overflows at s = 60, n = 10^6; the scaled sums stay finite.
+        sum0, sum1, err0, err1, log_scale = pl._power_sums(60.0, 10**6, math.log(10**6))
+        assert log_scale == 60.0 * math.log(10**6)
+        assert sum0 == pytest.approx(10**6 / 61.0, rel=1e-4)
+        assert all(map(math.isfinite, (sum0, sum1, err0, err1)))
+
+
 class TestZeta:
     def test_closed_form_values(self):
         assert pl.zeta(2.0) == pytest.approx(ZETA_2, abs=1e-6)

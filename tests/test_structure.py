@@ -24,6 +24,7 @@ from thermolens import (
     stationarity_report,
     theoretical_class_scaling,
 )
+from thermolens import structure
 from thermolens.structure import merge_curves, write_curve_csv
 
 LOG = EnergyModel.LOGARITHMIC
@@ -213,6 +214,118 @@ class TestOracleArrays:
         # tol = 1e-10 bounds the rate, so E may miss by up to Var(u) * tol / 2.
         var = float(dist.p @ (u - e) ** 2)
         assert abs(e - target) <= 1e-6 + 1e-10 * var
+
+
+def _reference_oracle(e_target: float, support_max: int, model, tol: float = 1e-10):
+    """The oracle's bisection with every step an O(V) pass, as it was before
+    the closed forms; returns the rate and the kept values and probabilities."""
+
+    def family(lam, u, out):
+        np.multiply(u, -lam, out=out)
+        np.subtract(out, out.max(), out=out)
+        np.exp(out, out=out)
+        return np.divide(out, out.sum(), out=out)
+
+    u = np.arange(1, support_max + 1, dtype=np.float64)
+    if model is LOG:
+        np.log(u, out=u)
+    buf = np.empty_like(u)
+
+    def mean_energy(lam):
+        return float(family(lam, u, buf) @ u)
+
+    lo, hi = -1.0, 1.0
+    while mean_energy(lo) < e_target:
+        lo *= 2.0
+    while mean_energy(hi) > e_target:
+        hi *= 2.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if hi - lo <= tol:
+            break
+        if mean_energy(mid) > e_target:
+            lo = mid
+        else:
+            hi = mid
+    lam = 0.5 * (lo + hi)
+    probs = family(lam, u, buf)
+    keep = probs >= np.finfo(np.float64).tiny
+    return lam, np.flatnonzero(keep) + 1, probs[keep]
+
+
+@pytest.fixture
+def family_calls(monkeypatch):
+    """The rate of every O(V) pass the oracle makes, in order."""
+    calls = []
+    family = structure._exponential_family
+
+    def recording(lam, u, out):
+        calls.append(lam)
+        return family(lam, u, out)
+
+    monkeypatch.setattr(structure, "_exponential_family", recording)
+    return calls
+
+
+def _energy_range(model, support_max):
+    return (0.0, math.log(support_max)) if model is LOG else (1.0, float(support_max))
+
+
+class TestOracleClosedForms:
+    @pytest.mark.parametrize("model", [LOG, LIN])
+    @pytest.mark.parametrize("support_max", [2, 10, 11, 21, 1000, 10**5])
+    def test_rate_and_probabilities_identical_to_direct_bisection(
+        self, model, support_max, family_calls
+    ):
+        u_min, u_max = _energy_range(model, support_max)
+        targets = [u_min + f * (u_max - u_min) for f in (0.05, 0.25, 0.5, 0.75, 0.95)]
+        targets += [u_min + 1e-3, u_max - 1e-3]
+        for target in targets:
+            family_calls.clear()
+            dist = max_entropy_oracle(target, support_max, model)
+            lam, values, p = _reference_oracle(target, support_max, model)
+            assert family_calls[-1] == lam, target
+            assert np.array_equal(dist.values, values), target
+            assert np.array_equal(dist.p, p), target
+
+    def test_few_passes_at_a_million_points(self, family_calls):
+        # The direct bisection made ~38 O(V) passes per call; the count
+        # here includes the final pass that builds the distribution.
+        passes = {}
+        for model, targets in ((LOG, (1.5, 2.2, 2.9)), (LIN, (20.0, 80.0, 200.0))):
+            for target in targets:
+                family_calls.clear()
+                max_entropy_oracle(target, 10**6, model)
+                passes[model.value, target] = len(family_calls)
+        print("O(V) passes per call:", passes)
+        assert max(passes.values()) <= 6, passes
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        model=st.sampled_from([LOG, LIN]),
+        support_max=st.integers(2, 10**5),
+        log_rate=st.floats(-12.0, 3.0),
+        negative=st.booleans(),
+    )
+    def test_closed_form_within_its_band_of_the_direct_pass(
+        self, model, support_max, log_rate, negative
+    ):
+        lam = -(10.0**log_rate) if negative else 10.0**log_rate
+        u = np.arange(1, support_max + 1, dtype=np.float64)
+        if model is LOG:
+            np.log(u, out=u)
+        direct = float(structure._exponential_family(lam, u, np.empty_like(u)) @ u)
+        e, err = structure._CLOSED_FORMS[model](lam, support_max)
+        band = err + structure._direct_error(lam, e, err, u[0], u[-1], support_max)
+        assert abs(e - direct) <= band
+        # Not vacuous: near lam = 0 the linear form cancels two terms of 1/lam.
+        assert band <= 1e-6 * (u[-1] - u[0]) + 32 * 2**-53 / abs(lam)
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf, 1e300, 1.0])
+    def test_bad_tolerance_rejected_before_allocation(self, tol):
+        # A support of 10^13 points would need 80 TB; the check comes first.
+        with pytest.raises(DomainError, match="tolerance"):
+            max_entropy_oracle(2.0, 10**13, LOG, tol)
 
 
 class TestEfficiencyCurve:
