@@ -154,20 +154,15 @@ class CsvRows:
     its size limit) comes out as the one-cell row ``[reason]``, which every
     reader rejects by its arity.
 
-    Lines go to the csv module in blocks, through one reader per run of
-    blocks. A run of plain blocks, with no ``#`` and no ``"``, has no record
-    that spans lines, so it ends on a record boundary without tracking one.
-    Any other run records where each row ends, feeds a block holding a ``#``
-    line by line to tell comments from data, and ends where a block
-    boundary is a record boundary and the next block is plain.
+    One csv reader reads the lines in blocks and records where each row
+    ends. Only a block holding a ``#`` is fed line by line, so a comment is
+    dropped only while the reader is between records.
     """
 
     def __init__(self, lines: Iterable[str], header: tuple[str, ...], kind: str) -> None:
-        self._lines = iter(lines)
-        self._next_block()
-        self._reader = csv.reader(())
-        self._offset = 0  # lines before the current reader's, and the comments it skipped
-        self._row_end = 0  # the current reader's line_num after its last row
+        self._skipped = 0  # comment lines the reader never saw
+        self._row_end = 0  # the reader's line_num after its last row
+        self._reader = csv.reader(chain.from_iterable(self._blocks(lines)))
         self._rows = self._read()
         expected = ",".join(header)
         first = next(self._rows, None)
@@ -179,55 +174,35 @@ class CsvRows:
     def __iter__(self) -> Iterator[list[str]]:
         return self._rows
 
-    def _next_block(self) -> None:
-        self._block = list(islice(self._lines, _BLOCK_LINES))
-        text = "".join(self._block)
-        self._hash, self._plain = "#" in text, "#" not in text and '"' not in text
-
-    def _read(self) -> Iterator[list[str]]:
-        while self._block:
-            tracked = not self._plain
-            self._row_end = 0
-            self._reader = csv.reader(chain.from_iterable(self._run(tracked)))
-            while True:
-                try:
-                    if tracked:
-                        for row in self._reader:
-                            self._row_end = self._reader.line_num
-                            if row:
-                                yield row
-                    else:
-                        yield from filter(None, self._reader)
-                    break
-                except csv.Error as exc:  # the reader resumes on the next line
-                    self._row_end = self._reader.line_num
-                    yield [str(exc)]
-            self._offset += self._reader.line_num
-
-    def _run(self, tracked: bool) -> Iterator[Iterable[str]]:
-        reader = self._reader
-        while True:
-            yield self._uncommented(self._block) if self._hash else self._block
-            self._next_block()
-            if not self._block:
-                return
-            if tracked:  # back to plain blocks, once the reader is between records
-                if self._plain and reader.line_num == self._row_end:
-                    return
-            elif not self._plain:
-                return
+    def _blocks(self, lines: Iterable[str]) -> Iterator[Iterable[str]]:
+        lines = iter(lines)
+        while block := list(islice(lines, _BLOCK_LINES)):
+            yield self._uncommented(block) if "#" in "".join(block) else block
 
     def _uncommented(self, block: list[str]) -> Iterator[str]:
         reader = self._reader
         for line in block:
             if reader.line_num == self._row_end and line.lstrip().startswith("#"):
-                self._offset += 1
+                self._skipped += 1
             else:
                 yield line
 
+    def _read(self) -> Iterator[list[str]]:
+        reader = self._reader
+        while True:
+            try:
+                for row in reader:
+                    self._row_end = reader.line_num
+                    if row:
+                        yield row
+                return
+            except csv.Error as exc:  # the reader resumes on the next line
+                self._row_end = reader.line_num
+                yield [str(exc)]
+
     @property
     def line(self) -> int:
-        return self._offset + self._reader.line_num
+        return self._skipped + self._reader.line_num
 
 
 def format_cell(x) -> str:

@@ -104,13 +104,12 @@ def _chi(w: float) -> float:
     return total
 
 
-def _power_sums(s: float, n: int, centre: float = 0.0) -> tuple[float, float, float, float, float]:
+def _power_sums(s: float, n: int, centre: float) -> tuple[float, float, float, float]:
     """Σ v^s and Σ (ln v - centre) · v^s over v = 1..n, with error bounds.
 
-    Returns (sum0, sum1, err0, err1, log_scale): the sums are
-    (sum0 ± err0) · e^log_scale and (sum1 ± err1) · e^log_scale, where
-    e^log_scale = max(1, n^s) is the largest term, so no power overflows
-    for either sign of s. Below 2·_HEAD terms the sums are direct. Above,
+    Returns (sum0, sum1, err0, err1): the sums are (sum0 ± err0) · L and
+    (sum1 ± err1) · L, where L = e^max(0, s · ln n) is the largest term,
+    so no power overflows for either sign of s. Below 2·_HEAD terms the sums are direct. Above,
     v < _HEAD and v > b are summed directly and a = _HEAD..b by Euler-Maclaurin
     with the _EM_COEFFS of _hurwitz, for f(x) = x^s and its s-derivative
     g(x) = ln x · x^s (Johansson, arXiv:1309.2877):
@@ -187,7 +186,7 @@ def _power_sums(s: float, n: int, centre: float = 0.0) -> tuple[float, float, fl
     rel = _EPS * (512.0 + 8.0 * (abs(s) + 1.0) * log_n)
     err0 = rel * math.fsum(map(abs, pieces0)) + remainder + _TINY
     err1 = rel * math.fsum(mags1) + 4.0 * _EPS * math.fsum(logs1) + remainder + _TINY
-    return math.fsum(pieces0), math.fsum(pieces1), err0, err1, log_scale
+    return math.fsum(pieces0), math.fsum(pieces1), err0, err1
 
 
 def zeta(alpha: float) -> float:

@@ -162,7 +162,7 @@ def _log_mean_energy(lam: float, n: int) -> tuple[float, float]:
     support (lam < 0), where the mean sits close to ln n.
     """
     centre = math.log(n) if lam < 0.0 else 0.0
-    sum0, sum1, err0, err1, _ = _power_sums(-lam, n, centre)
+    sum0, sum1, err0, err1 = _power_sums(-lam, n, centre)
     if not sum0 > err0:
         return math.nan, math.inf
     shift = sum1 / sum0

@@ -240,8 +240,8 @@ class TestParserMatchesReference:
         st.integers(1, 4),
     )
     def test_short_blocks(self, items, strict, block_lines):
-        # Blocks of a few lines make runs switch between the whole-block and
-        # the tracked readers at every kind of line and record boundary.
+        # Blocks of a few lines put a block boundary at every kind of line
+        # and record boundary, with and without a '#' on either side.
         with mock.patch.object(collection, "_BLOCK_LINES", block_lines):
             _assert_matches_reference(_render(items), strict)
 

@@ -221,7 +221,7 @@ class TestCsvRows:
 
     @pytest.mark.parametrize("block_lines", [1, 2, 3, 4096])
     def test_quoted_field_across_blocks(self, block_lines):
-        # The field's middle lines hold no quote: a run may end only between records.
+        # Block boundaries fall inside the quoted field, where '# data' is data.
         lines = [
             "ts,editor,page\n", '1,"a\n', "plain\n", "# data\n", "\n", 'b",p\n',
             "# comment\n", "2,c,p\n", "3,d,p\n", '4,"e\n', 'f",p\n', "5,g,p\n",
