@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
+import sys
 from collections import Counter
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
@@ -152,7 +153,8 @@ class CsvRows:
     data rows, and ``line`` is the physical line number of the last line of
     the row last yielded. A row the csv module cannot read (a field over
     its size limit) comes out as the one-cell row ``[reason]``, which every
-    reader rejects by its arity.
+    reader rejects by its arity. A stream that is not valid UTF-8 is a
+    DomainError naming the kind of input.
 
     One csv reader reads the lines in blocks and records where each row
     ends. Only a block holding a ``#`` is fed line by line, so a comment is
@@ -160,6 +162,7 @@ class CsvRows:
     """
 
     def __init__(self, lines: Iterable[str], header: tuple[str, ...], kind: str) -> None:
+        self._kind = kind
         self._skipped = 0  # comment lines the reader never saw
         self._row_end = 0  # the reader's line_num after its last row
         self._reader = csv.reader(chain.from_iterable(self._blocks(lines)))
@@ -176,8 +179,14 @@ class CsvRows:
 
     def _blocks(self, lines: Iterable[str]) -> Iterator[Iterable[str]]:
         lines = iter(lines)
-        while block := list(islice(lines, _BLOCK_LINES)):
+        while block := self._take(lines):
             yield self._uncommented(block) if "#" in "".join(block) else block
+
+    def _take(self, lines: Iterator[str]) -> list[str]:
+        try:
+            return list(islice(lines, _BLOCK_LINES))
+        except UnicodeDecodeError as exc:
+            raise DomainError(f"{self._kind} CSV is not valid UTF-8: {exc.reason}") from None
 
     def _uncommented(self, block: list[str]) -> Iterator[str]:
         reader = self._reader
@@ -303,7 +312,11 @@ def write_collection_csv(c: Collection, stream: IO[str], header_comment: str | N
 
 
 def read_collection_csv(stream: Iterable[str]) -> Collection:
-    """Read the ``value,count`` interchange CSV; ``#`` lines are comments."""
+    """Read the ``value,count`` interchange CSV; ``#`` lines are comments.
+
+    A value above the largest float is a DomainError: every metric takes
+    its logarithm or its ratio as a float.
+    """
     rows = CsvRows(stream, ("value", "count"), "collection")
     tally: Counter[int] = Counter()
     for row in rows:
@@ -315,6 +328,8 @@ def read_collection_csv(stream: Iterable[str]) -> Collection:
             raise DomainError(f"line {rows.line}: non-integer field in {row!r}") from None
         if s < 0:
             raise DomainError(f"line {rows.line}: negative count {s}")
+        if v > sys.float_info.max:
+            raise DomainError(f"line {rows.line}: value exceeds the float range")
         if s:
             tally[v] += s
     return Collection(dict(tally))

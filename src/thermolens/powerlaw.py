@@ -9,7 +9,6 @@ seeded sampler for synthetic data.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from itertools import chain
 from dataclasses import dataclass
 from fractions import Fraction
@@ -37,8 +36,7 @@ ALPHA_MIN = 1.0 + 1e-6
 
 DEFAULT_KS_THRESHOLD = 0.1
 
-_SAMPLE_TABLE_SIZE = 100_000
-# Draws past the table resolved per kernel call; bounds the kernel's temporaries.
+# Points per kernel call in the sampler; bounds the kernel's temporaries.
 _TAIL_CHUNK = 8192
 _FLOAT_MAX = float(np.finfo(np.float64).max)
 _TINY = float(np.finfo(np.float64).tiny)
@@ -296,62 +294,57 @@ def classify(c: Collection, threshold: float = DEFAULT_KS_THRESHOLD) -> PowerLaw
     )
 
 
-def _invert_tail(alpha: float, z: float, u: np.ndarray, lo: int) -> np.ndarray:
-    """Smallest integer v > lo with F(v) >= u, for each u beyond F(lo).
+def _invert_cdf(alpha: float, u: np.ndarray) -> np.ndarray:
+    """Smallest integer v >= 1 with F(v) >= u for each u, as floats.
 
-    Doubles an upper bound, then bisects, _TAIL_CHUNK variates at a time,
-    so memory does not grow with the number of draws. Above 2^53 the
+    The guess g inverts ζ(α, v+1) ≈ (v+½)^(1−α)/(α−1) (Clauset, Shalizi &
+    Newman, arXiv:0706.1062, App. D). The kernel cdf on a grid of 0, the
+    distinct g and g−1, and the sentinel FLOAT_MAX/2 places each u between
+    two grid points. A draw whose upper point follows the lower by one is
+    exact; the rest are bisected _TAIL_CHUNK at a time. Above 2^53 the
     bounds are the nearest floats, and bisection stops where no float lies
-    between them.
+    between them. The grid is evaluated _TAIL_CHUNK points per kernel
+    call, never one point alone, since a one-point call can round
+    differently from a batch; z = ζ(α) is the grid's value at 0.
     """
-
-    def cdf(v: np.ndarray) -> np.ndarray:
-        return 1.0 - _hurwitz(alpha, v + 1.0) / z
-
-    if (u > cdf(np.array([_FLOAT_MAX / 2.0]))).any():
+    with np.errstate(over="ignore", divide="ignore"):
+        g = ((1.0 - u) * zeta(alpha) * (alpha - 1.0)) ** (-1.0 / (alpha - 1.0))
+    g = np.clip(np.unique(np.ceil(g - 0.5, out=g)), 1.0, _FLOAT_MAX / 2.0)
+    grid = np.unique(np.concatenate(([0.0], g, np.maximum(g - 1.0, 1.0), [_FLOAT_MAX / 2.0])))
+    parts = np.array_split(grid, -(-grid.size // _TAIL_CHUNK))
+    h = np.concatenate([_hurwitz(alpha, part + 1.0) for part in parts])
+    z = h[0]
+    at = 1 + np.searchsorted(1.0 - h[1:] / z, u, side="left")
+    if at.max() == grid.size:
         raise DomainError(f"alpha={alpha} is too close to 1: a draw exceeds the float range")
-    drawn = np.empty_like(u)
-    for start in range(0, u.size, _TAIL_CHUNK):
-        part = u[start : start + _TAIL_CHUNK]
-        lo_v = np.full(part.shape, float(lo))
-        hi_v = 2.0 * lo_v
-        todo = np.flatnonzero(cdf(hi_v) < part)
-        while todo.size:
-            lo_v[todo] = hi_v[todo]
-            hi_v[todo] *= 2.0
-            todo = todo[cdf(hi_v[todo]) < part[todo]]
+    drawn = grid[at]
+    wide = np.flatnonzero((np.diff(grid, prepend=0.0) > 1.0)[at])
+    for start in range(0, wide.size, _TAIL_CHUNK):
+        part = wide[start : start + _TAIL_CHUNK]
+        lo_v, hi_v, target = grid[at[part] - 1], drawn[part], u[part]
         while True:
             mid = np.floor(lo_v + 0.5 * (hi_v - lo_v))
             todo = np.flatnonzero((lo_v < mid) & (mid < hi_v))
             if not todo.size:
                 break
-            reached = cdf(mid[todo]) >= part[todo]
+            reached = 1.0 - _hurwitz(alpha, mid[todo] + 1.0) / z >= target[todo]
             hi_v[todo[reached]] = mid[todo[reached]]
             lo_v[todo[~reached]] = mid[todo[~reached]]
-        drawn[start : start + _TAIL_CHUNK] = hi_v
+        drawn[part] = hi_v
     return drawn
 
 
 def sample(alpha: float, n: int, seed: int) -> Collection:
     """Draw n values from the zeta power law by inverting the cdf.
 
-    Uniform variates are mapped through a cdf table over 1..100000;
-    variates beyond the table's reach are resolved by bisecting the cdf.
-    The same seed always produces the same collection.
+    Each uniform variate u maps to the smallest v with F(v) >= u, where F
+    is the kernel cdf 1 - ζ(α, v+1)/ζ(α); every draw takes the same path
+    through `_invert_cdf`. A draw past FLOAT_MAX/2 is a DomainError. The
+    same seed always produces the same collection.
     """
     _require_convergent(alpha)
     if n < 1:
         raise DomainError(f"sample size must be >= 1, got {n}")
-    rng = np.random.default_rng(seed)
-    u = rng.random(n)
-    h = _hurwitz(alpha, np.arange(1, _SAMPLE_TABLE_SIZE + 2, dtype=np.float64))
-    table = 1.0 - h[1:] / h[0]
-    in_table = u <= table[-1]
-    tally: Counter[int] = Counter()
-    if in_table.any():
-        drawn = np.searchsorted(table, u[in_table], side="left") + 1
-        for v, s in zip(*np.unique(drawn, return_counts=True)):
-            tally[int(v)] = int(s)
-    for v in _invert_tail(alpha, h[0], u[~in_table], _SAMPLE_TABLE_SIZE):
-        tally[int(v)] += 1
-    return Collection(dict(tally))
+    u = np.random.default_rng(seed).random(n)
+    values, counts = np.unique(_invert_cdf(alpha, u), return_counts=True)
+    return Collection(dict(zip(map(int, values.tolist()), counts.tolist())))

@@ -390,7 +390,9 @@ def efficiency_vs_alpha_curve(alphas: Sequence[float], n_trunc: int) -> TheoryCu
     The power-law pmf on 1..n_trunc is renormalized after truncation; the
     entropy reduction baseline ln(n_trunc) plays the role of the maximum
     entropy at that sample size. Uniform-distribution reference values
-    (S_u = ln n_trunc, R_u = 0) are attached for plotting.
+    (S_u = ln n_trunc, R_u = 0) are attached for plotting. Once v^(-alpha)
+    underflows, the lost terms add 0·ln 0 = 0 to S; Q is None where the
+    truncated E is exactly 0 (alpha above ~1075).
     """
     grid = _validated_grid(alphas)
     if n_trunc < 10:
@@ -402,11 +404,12 @@ def efficiency_vs_alpha_curve(alphas: Sequence[float], n_trunc: int) -> TheoryCu
     for alpha in grid:
         w = np.exp(-alpha * log_values)
         p = w / w.sum()
-        s = float(-(p @ np.log(p)))
+        held = p if p.all() else p[p > 0.0]  # 0·ln 0 = 0 where w underflows
+        s = float(0.0 - held @ np.log(held))  # 0.0 - x is -x, but never -0.0
         e = float(p @ log_values)
         s_col.append(s)
         e_col.append(e)
-        q_col.append(s / e)
+        q_col.append(s / e if e != 0.0 else None)
         r_col.append(log_n - s)
     e_uniform = float(log_values.mean())
     return TheoryCurve(

@@ -586,6 +586,7 @@ class TestKernelCallCounts:
 
     def test_evolution_report_neither_classifies_nor_decomposes(self, calls):
         lines = corpus_lines([(2021, 1, 2.0, 150), (2021, 2, 2.4, 120)], seed=9, n_pages=8)
+        calls.clear()  # sampling the corpus runs the kernel and zeta too
         rows = evolution_report(monthly_collections(parse_events(lines, strict=True).events))
         assert len(rows) == 2
         for row in rows:

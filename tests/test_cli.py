@@ -1,6 +1,8 @@
 """Subcommand behavior: files in, files out, deterministic bytes."""
 
 import json
+import math
+import sys
 
 import pytest
 
@@ -384,6 +386,73 @@ class TestFieldOverCsvLimit:
         assert run("pages", "--events", str(log), "--output", str(tmp_path / "o.csv")) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and "expected header" in err[0]
+
+
+class TestInvalidUtf8:
+    """Bytes that are not UTF-8 are bad input: exit 1 and one stderr line."""
+
+    BAD = b"\xff\xfe"
+
+    def _assert_one_line(self, capsys, kind):
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and f"{kind} CSV is not valid UTF-8" in err[0]
+
+    def test_collection(self, tmp_path, capsys):
+        src = tmp_path / "coll.csv"
+        src.write_bytes(b"value,count\n1,2\n" + self.BAD + b",3\n")
+        assert run("metrics", "--input", str(src), "--output", str(tmp_path / "m.csv")) == 1
+        self._assert_one_line(capsys, "collection")
+
+    def test_event_log(self, tmp_path, capsys):
+        log = tmp_path / "events.csv"
+        log.write_bytes(b"ts,editor,page\n1,a,p\n2," + self.BAD + b",p\n")
+        assert run("pages", "--events", str(log), "--output", str(tmp_path / "o.csv")) == 1
+        self._assert_one_line(capsys, "event")
+
+    def test_readership(self, corpus_csv, tmp_path, capsys):
+        readership = tmp_path / "readers.csv"
+        readership.write_bytes(b"page,clicks\n" + self.BAD + b",3\n")
+        assert run(
+            "correlate", "--events", str(corpus_csv), "--readership", str(readership),
+            "--output", str(tmp_path / "corr.json"),
+        ) == 1
+        self._assert_one_line(capsys, "readership")
+
+
+class TestValueAboveFloatRange:
+    """A collection value above the largest float is rejected on its line."""
+
+    @pytest.mark.parametrize(
+        "argv", [("metrics",), ("metrics", "--model", "linear"), ("fit",)]
+    )
+    def test_exits_one(self, argv, tmp_path, capsys):
+        src = tmp_path / "coll.csv"
+        src.write_text(f"value,count\n1,3\n{10**400},2\n")
+        assert run(*argv, "--input", str(src), "--output", str(tmp_path / "o.csv")) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "line 3:" in err[0] and "float range" in err[0]
+
+    def test_largest_sampled_value_round_trips(self, tmp_path):
+        # sample never draws above FLOAT_MAX/2, so synth output always reads back.
+        src = tmp_path / "coll.csv"
+        src.write_text(f"value,count\n1,3\n{int(sys.float_info.max / 2)},2\n")
+        for argv in (("metrics",), ("metrics", "--model", "linear"), ("fit",)):
+            assert run(*argv, "--input", str(src), "--output", str(tmp_path / "o.csv")) == 0
+
+
+class TestCurvesAtLargeAlpha:
+    def test_underflowed_terms_leave_finite_cells(self, tmp_path):
+        out = tmp_path / "c.csv"
+        assert run("curves", "--alpha-min", "100", "--alpha-max", "100", "--output", str(out)) == 0
+        cells = out.read_text().splitlines()[2].split(",")
+        assert all(math.isfinite(float(c)) for c in cells)
+
+    def test_zero_energy_leaves_q_blank(self, tmp_path):
+        out = tmp_path / "c.csv"
+        assert run("curves", "--alpha-min", "1100", "--alpha-max", "1100", "--output", str(out)) == 0
+        alpha, s, q, r = out.read_text().splitlines()[2].split(",")[:4]
+        assert (alpha, s, q) == ("1100", "0", "")
+        assert float(r) == pytest.approx(math.log(10_000))
 
 
 class TestUsageErrors:

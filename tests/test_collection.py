@@ -3,6 +3,7 @@
 import csv
 import io
 import math
+import sys
 from unittest import mock
 
 import numpy as np
@@ -201,6 +202,12 @@ class TestCsvInterchange:
             read_collection_csv(io.StringIO("value,count\na,2\n"))
         with pytest.raises(DomainError, match="^line 5:"):
             read_collection_csv(io.StringIO("# a\nvalue,count\n# b\n1,2\n1,2,3\n"))
+
+    def test_value_above_the_float_range_rejected(self):
+        top = int(sys.float_info.max)
+        assert read_collection_csv(io.StringIO(f"value,count\n{top},1\n")).counts == {top: 1}
+        with pytest.raises(DomainError, match="^line 3: value exceeds the float range"):
+            read_collection_csv(io.StringIO(f"value,count\n1,1\n{top + 1},1\n"))
 
 
 class TestCsvRows:

@@ -11,6 +11,7 @@ and the tests below pin that actual behavior.
 import math
 import time
 import tracemalloc
+from collections import Counter
 
 import mpmath
 import numpy as np
@@ -329,7 +330,7 @@ class TestSample:
         assert c.counts[1] / c.population == pytest.approx(PMF_2_1, abs=0.006)
 
     def test_tail_draws_reach_past_table(self):
-        # At alpha=1.5 roughly 0.24% of draws land beyond the cached table.
+        # At alpha=1.5 roughly 0.24% of draws land beyond 1e5.
         c = pl.sample(1.5, 100_000, seed=11)
         assert max(c.support) > 100_000
 
@@ -343,11 +344,25 @@ class TestSample:
             pl.sample(1.01, 100_000, seed=3)
 
     def test_tail_inversion_brackets_each_draw(self):
-        u = np.array([0.9999, 0.99999, 0.999999, 1 - 1e-7])
-        drawn = pl._invert_tail(1.5, pl.zeta(1.5), u, 1000)
+        u = np.array([0.0, 0.3, 0.9, 0.9999, 0.99999, 0.999999, 1 - 1e-7])
+        drawn = pl._invert_cdf(1.5, u)
         for ui, v in zip(u, drawn):
             v = int(v)
-            assert pl.theoretical_cdf(1.5, v - 1) < ui <= pl.theoretical_cdf(1.5, v)
+            below = pl.theoretical_cdf(1.5, v - 1) if v > 1 else -1.0
+            assert below < ui <= pl.theoretical_cdf(1.5, v)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.sampled_from([1.3, 2.0, 4.0, 8.0]),
+        st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=6),
+    )
+    def test_inversion_brackets_sparse_draws(self, alpha, us):
+        # Few draws leave gaps in the grid of guesses, and at large alpha
+        # the first guess is often off by one near a step of the cdf.
+        for ui, v in zip(us, pl._invert_cdf(alpha, np.array(us))):
+            prev = int(np.nextafter(v, 0.0))  # v - 1, or past 2^53 the float below v
+            below = pl.theoretical_cdf(alpha, prev) if prev else -1.0
+            assert below < ui <= pl.theoretical_cdf(alpha, int(v))
 
     def test_tail_inversion_memory_does_not_grow_with_draws(self):
         # Resolving all tail draws in one kernel call held ~30 float64
@@ -355,7 +370,7 @@ class TestSample:
         u = np.random.default_rng(1).uniform(pl.theoretical_cdf(1.05, 100_000), 1.0, 40_000)
         tracemalloc.start()
         try:
-            drawn = pl._invert_tail(1.05, pl.zeta(1.05), u, 100_000)
+            drawn = pl._invert_cdf(1.05, u)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -364,9 +379,30 @@ class TestSample:
 
     def test_tail_inversion_is_independent_of_chunking(self, monkeypatch):
         u = np.random.default_rng(2).uniform(pl.theoretical_cdf(1.3, 1000), 1.0, 3000)
-        whole = pl._invert_tail(1.3, pl.zeta(1.3), u, 1000)
+        whole = pl._invert_cdf(1.3, u)
         monkeypatch.setattr(pl, "_TAIL_CHUNK", 700)
-        assert np.array_equal(pl._invert_tail(1.3, pl.zeta(1.3), u, 1000), whole)
+        assert np.array_equal(pl._invert_cdf(1.3, u), whole)
+
+    def test_single_draw_is_small(self):
+        tracemalloc.start()
+        try:
+            c = pl.sample(2.0, 1, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert c.population == 1
+        assert peak < 2**20
+
+    @pytest.mark.parametrize(
+        "alpha,n,seed",
+        [(2.0, 1, 1), (2.0, 500, 1), (3.0, 10_000, 1), (2.2, 800, 11), (6.5, 20_000, 8),
+         (1.5, 100_000, 11), (1.2, 100_000, 3)],
+    )
+    def test_matches_table_and_tail_sampler(self, alpha, n, seed):
+        c = pl.sample(alpha, n, seed)
+        assert c == _table_and_tail_sample(alpha, n, seed)
+        if alpha == 1.2:
+            assert max(c.support) > 10**11
 
     @pytest.mark.parametrize("alpha", [1.5, 2.0, 2.5])
     def test_estimator_reaches_its_population_value(self, alpha):
@@ -376,3 +412,40 @@ class TestSample:
         # acceptance suite for the faithful round-trip criterion.)
         c = pl.sample(alpha, 100_000, seed=int(alpha * 100))
         assert pl.mle_fit(c) == pytest.approx(ESTIMATOR_LIMIT[alpha], abs=0.05)
+
+
+def _table_and_tail_sample(alpha: float, n: int, seed: int) -> Collection:
+    """Reference for `sample`: the earlier table-plus-tail sampler.
+
+    Variates up to F(1e5) are read from a cdf table over 1..1e5; each
+    variate beyond it doubles a bracket from 1e5 and then bisects.
+    """
+    u = np.random.default_rng(seed).random(n)
+    h = pl._hurwitz(alpha, np.arange(1, 100_002, dtype=np.float64))
+    z, table = h[0], 1.0 - h[1:] / h[0]
+    in_table = u <= table[-1]
+    tally = Counter((np.searchsorted(table, u[in_table], side="left") + 1).tolist())
+
+    def cdf(v):
+        return 1.0 - pl._hurwitz(alpha, v + 1.0) / z
+
+    tail = u[~in_table]
+    for start in range(0, tail.size, 8192):
+        part = tail[start : start + 8192]
+        lo_v = np.full(part.shape, 100_000.0)
+        hi_v = 2.0 * lo_v
+        todo = np.flatnonzero(cdf(hi_v) < part)
+        while todo.size:
+            lo_v[todo] = hi_v[todo]
+            hi_v[todo] *= 2.0
+            todo = todo[cdf(hi_v[todo]) < part[todo]]
+        while True:
+            mid = np.floor(lo_v + 0.5 * (hi_v - lo_v))
+            todo = np.flatnonzero((lo_v < mid) & (mid < hi_v))
+            if not todo.size:
+                break
+            reached = cdf(mid[todo]) >= part[todo]
+            hi_v[todo[reached]] = mid[todo[reached]]
+            lo_v[todo[~reached]] = mid[todo[~reached]]
+        tally.update(int(v) for v in hi_v)
+    return Collection(dict(tally))

@@ -352,6 +352,24 @@ class TestEfficiencyCurve:
         assert large.entropy[0] > small.entropy[0]
         assert large.entropy_reduction[0] > small.entropy_reduction[0]
 
+    def test_underflowed_terms_add_nothing(self):
+        # At alpha = 100, v^-alpha underflows to 0 from v ~ 1700 on; those
+        # terms add 0·ln 0 = 0, so S is the sum over the others.
+        curve = efficiency_vs_alpha_curve([100.0], 10**4)
+        w = [math.exp(-100.0 * math.log(v)) for v in range(1, 10**4 + 1)]
+        total = math.fsum(w)
+        p = [x / total for x in w if x > 0.0]
+        assert curve.entropy[0] == pytest.approx(-math.fsum(x * math.log(x) for x in p), rel=1e-12)
+        assert math.isfinite(curve.efficiency[0])
+        assert curve.entropy_reduction[0] == math.log(10**4) - curve.entropy[0]
+
+    def test_zero_energy_leaves_q_undefined(self):
+        # From alpha ~ 1075, 2^-alpha underflows: all mass sits on v = 1.
+        curve = efficiency_vs_alpha_curve([1100.0], 1000)
+        assert curve.energy[0] == 0.0 and curve.efficiency[0] is None
+        assert math.copysign(1.0, curve.entropy[0]) == 1.0 and curve.entropy[0] == 0.0
+        assert curve.entropy_reduction[0] == math.log(1000)
+
     def test_grid_validation(self):
         with pytest.raises(DomainError):
             efficiency_vs_alpha_curve([], 1000)
