@@ -301,16 +301,18 @@ def _invert_cdf(alpha: float, u: np.ndarray) -> np.ndarray:
     Newman, arXiv:0706.1062, App. D). The kernel cdf on a grid of 0, the
     distinct g and g−1, and the sentinel FLOAT_MAX/2 places each u between
     two grid points. A draw whose upper point follows the lower by one is
-    exact; the rest are bisected _TAIL_CHUNK at a time. Above 2^53 the
-    bounds are the nearest floats, and bisection stops where no float lies
-    between them. The grid is evaluated _TAIL_CHUNK points per kernel
-    call, never one point alone, since a one-point call can round
-    differently from a batch; z = ζ(α) is the grid's value at 0.
+    exact; the rest are bisected _TAIL_CHUNK at a time, down to adjacent
+    floats above 2^53. z = ζ(α) is the grid's value at 0: a one-point
+    kernel call can round an ulp differently from a batch. Bisection steps
+    on a single draw are one-point calls, so there a u within an ulp of
+    F(v) may resolve differently from the batched `theoretical_cdf`.
     """
     with np.errstate(over="ignore", divide="ignore"):
         g = ((1.0 - u) * zeta(alpha) * (alpha - 1.0)) ** (-1.0 / (alpha - 1.0))
-    g = np.clip(np.unique(np.ceil(g - 0.5, out=g)), 1.0, _FLOAT_MAX / 2.0)
-    grid = np.unique(np.concatenate(([0.0], g, np.maximum(g - 1.0, 1.0), [_FLOAT_MAX / 2.0])))
+    g = np.sort(np.clip(np.ceil(g - 0.5, out=g), 1.0, _FLOAT_MAX / 2.0, out=g))
+    g = g[np.diff(g, prepend=-1.0) > 0.0]  # not np.unique: its hash set fragments the heap
+    grid = np.sort(np.concatenate(([0.0], g, g - 1.0, [_FLOAT_MAX / 2.0])))
+    grid = grid[np.diff(grid, prepend=-1.0) > 0.0]
     parts = np.array_split(grid, -(-grid.size // _TAIL_CHUNK))
     h = np.concatenate([_hurwitz(alpha, part + 1.0) for part in parts])
     z = h[0]

@@ -350,12 +350,13 @@ class TheoryCurve:
     Curves from `efficiency_vs_alpha_curve` carry S, Q, R (and truncated E)
     at the stated support truncation plus uniform-distribution reference
     values; curves from `energy_curve` carry the closed-form E and A.
-    Missing columns are None.
+    Missing columns are None. A single efficiency cell is None where the
+    truncated E is 0, as Q = S/E is undefined there.
     """
 
     alphas: tuple[float, ...]
     entropy: tuple[float, ...] | None = None
-    efficiency: tuple[float, ...] | None = None
+    efficiency: tuple[float | None, ...] | None = None
     entropy_reduction: tuple[float, ...] | None = None
     energy: tuple[float, ...] | None = None
     free_energy: tuple[float, ...] | None = None
@@ -404,7 +405,7 @@ def efficiency_vs_alpha_curve(alphas: Sequence[float], n_trunc: int) -> TheoryCu
     for alpha in grid:
         w = np.exp(-alpha * log_values)
         p = w / w.sum()
-        held = p if p.all() else p[p > 0.0]  # 0·ln 0 = 0 where w underflows
+        held = p[p > 0.0]  # 0·ln 0 = 0 where w underflows
         s = float(0.0 - held @ np.log(held))  # 0.0 - x is -x, but never -0.0
         e = float(p @ log_values)
         s_col.append(s)
